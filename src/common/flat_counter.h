@@ -24,8 +24,11 @@ class FlatCounter {
     slots_.resize(static_cast<size_t>(cap));
   }
 
-  // counts[key] += delta, inserting the key at count 0 first.
-  void Add(uint64_t key, int64_t delta = 1) { Slot(key)->count += delta; }
+  // counts[key] += delta, inserting the key at count 0 first; returns the
+  // new count.
+  int64_t Add(uint64_t key, int64_t delta = 1) {
+    return Slot(key)->count += delta;
+  }
 
   // Pre-grows the table so `expected_keys` distinct keys insert without a
   // rehash (bulk counting passes size once instead of doubling log times).
@@ -57,6 +60,14 @@ class FlatCounter {
   }
 
   int64_t num_keys() const { return num_keys_; }
+
+  // Calls fn(key, count) for every key, in slot order (unsorted).
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const SlotEntry& s : slots_) {
+      if (s.used) fn(s.key, s.count);
+    }
+  }
 
   // All (key, count) pairs sorted by key — the iteration order of the
   // std::map-based counters this class replaces.

@@ -5,11 +5,13 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/trace.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
 #include "join/heavy_hitters.h"
-#include "mpc/stats.h"
+#include "join/stats.h"
 #include "mpc/exchange.h"
+#include "mpc/metrics.h"
 
 namespace mpcqp {
 
@@ -40,33 +42,32 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
       1, static_cast<int64_t>(options.threshold_factor *
                               static_cast<double>(in) / p));
 
-  // Degrees of every value that is heavy on either side.
+  // Degrees of every value that is heavy on either side. The per-fragment
+  // counters are scoped to this block and freed before the shuffle.
   std::unordered_map<Value, std::pair<int64_t, int64_t>> heavy_degrees;
-  if (options.metered_statistics) {
-    for (const DistributedHeavyHitter& h :
-         DetectHeavyHittersDistributed(cluster, left, left_key, threshold)) {
-      heavy_degrees[h.value].first = h.count;
+  {
+    const ColumnDegrees left_degrees(left, left_key, &cluster.pool());
+    const ColumnDegrees right_degrees(right, right_key, &cluster.pool());
+    if (options.metered_statistics) {
+      for (const DistributedHeavyHitter& h :
+           DetectHeavyHittersDistributed(cluster, left, left_key, threshold)) {
+        heavy_degrees[h.value].first = h.count;
+      }
+      for (const DistributedHeavyHitter& h : DetectHeavyHittersDistributed(
+               cluster, right, right_key, threshold)) {
+        heavy_degrees[h.value].second = h.count;
+      }
+    } else {
+      for (const HeavyHitter& h : left_degrees.Heavy(threshold)) {
+        heavy_degrees[h.value].first = h.count;
+      }
+      for (const HeavyHitter& h : right_degrees.Heavy(threshold)) {
+        heavy_degrees[h.value].second = h.count;
+      }
     }
-    for (const DistributedHeavyHitter& h : DetectHeavyHittersDistributed(
-             cluster, right, right_key, threshold)) {
-      heavy_degrees[h.value].second = h.count;
-    }
-  } else {
-    for (const HeavyHitter& h :
-         FindHeavyHitters(left, left_key, threshold, &cluster.pool())) {
-      heavy_degrees[h.value].first = h.count;
-    }
-    for (const HeavyHitter& h : FindHeavyHitters(right, right_key, threshold,
-                                                 &cluster.pool())) {
-      heavy_degrees[h.value].second = h.count;
-    }
-  }
-  for (auto& [value, degrees] : heavy_degrees) {
-    if (degrees.first == 0) {
-      degrees.first = CountValue(left, left_key, value);
-    }
-    if (degrees.second == 0) {
-      degrees.second = CountValue(right, right_key, value);
+    for (auto& [value, degrees] : heavy_degrees) {
+      if (degrees.first == 0) degrees.first = left_degrees.Count(value);
+      if (degrees.second == 0) degrees.second = right_degrees.Count(value);
     }
   }
 
@@ -153,7 +154,9 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   cluster.EndRound();
 
   std::vector<Relation> outputs(p);
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
+    MPCQP_TRACE_SCOPE_ARG("local join", "compute", s);
     outputs[s] = RunLocalJoin(left_parts.fragment(s),
                               right_parts.fragment(s), {left_key},
                               {right_key}, LocalJoinAlgorithm::kHash);

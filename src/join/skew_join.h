@@ -29,7 +29,7 @@ struct SkewJoinOptions {
   // Multiplies the IN/p heavy-hitter threshold (ablation knob A2).
   double threshold_factor = 1.0;
   // If true, heavy hitters are found by the metered two-round protocol of
-  // mpc/stats.h (the cost a deployment actually pays) instead of the free
+  // join/stats.h (the cost a deployment actually pays) instead of the free
   // exact oracle the theory assumes. Adds 2·2 rounds (one detection per
   // side); the hitters found are identical. Partner-side degrees of the
   // detected hitters are still read exactly — in practice they piggyback

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "join/heavy_hitters.h"
 #include "join/semi_join.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
@@ -152,10 +153,10 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
         // Constant per-prefix candidate count: the global distinct count
         // of v-values (a scalar a deployment piggybacks on its catalog;
         // not metered).
-        const Relation values = Dedup(Project(
-            proposer.projection.Collect(),
-            {proposer.projection.arity() - 1}));
-        proposer.global_count = values.size();
+        proposer.global_count =
+            ColumnDegrees(proposer.projection,
+                          proposer.projection.arity() - 1, &cluster.pool())
+                .Distinct();
       }
       proposers.push_back(std::move(proposer));
     }

@@ -1,6 +1,7 @@
 #include "multiway/binary_plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "join/cartesian.h"
@@ -44,6 +45,21 @@ std::pair<DistRelation, std::vector<int>> NormalizeAtomDist(
     out.fragment(s) = Project(filtered, keep_cols);
   }
   return {std::move(out), std::move(vars)};
+}
+
+DistRelation ProjectFragments(Cluster& cluster, DistRelation rel,
+                              const std::vector<int>& cols) {
+  bool identity = static_cast<int>(cols.size()) == rel.arity();
+  for (size_t c = 0; identity && c < cols.size(); ++c) {
+    identity = cols[c] == static_cast<int>(c);
+  }
+  if (identity) return rel;
+  DistRelation out(static_cast<int>(cols.size()), rel.num_servers());
+  cluster.pool().ParallelFor(rel.num_servers(), [&](int64_t s) {
+    out.fragment(static_cast<int>(s)) =
+        Project(rel.fragment(static_cast<int>(s)), cols);
+  });
+  return out;
 }
 
 BinaryPlanResult IterativeBinaryJoin(Cluster& cluster,
@@ -107,9 +123,7 @@ BinaryPlanResult IterativeBinaryJoin(Cluster& cluster,
     MPCQP_CHECK(it != acc_vars.end());
     cols[v] = static_cast<int>(it - acc_vars.begin());
   }
-  for (int s = 0; s < p; ++s) {
-    result.output.fragment(s) = Project(acc.fragment(s), cols);
-  }
+  result.output = ProjectFragments(cluster, std::move(acc), cols);
   return result;
 }
 

@@ -49,6 +49,13 @@ BinaryPlanResult IterativeBinaryJoin(Cluster& cluster,
 std::pair<DistRelation, std::vector<int>> NormalizeAtomDist(
     const Atom& atom, const DistRelation& rel);
 
+// Reorders every fragment's columns to `cols` (local compute), one server
+// per pool task. The identity order returns `rel` itself: fragments are
+// copy-on-write handles, so no row is copied. Shared with the plan-tree
+// executor's projection node for the same reason as NormalizeAtomDist.
+DistRelation ProjectFragments(Cluster& cluster, DistRelation rel,
+                              const std::vector<int>& cols);
+
 }  // namespace mpcqp
 
 #endif  // MPCQP_MULTIWAY_BINARY_PLAN_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/check.h"
 #include "join/cartesian.h"
@@ -233,11 +234,7 @@ DistRelation EvalNode(Cluster& cluster, const ConjunctiveQuery& q,
         MPCQP_CHECK(it != acc_vars.end());
         cols[v] = static_cast<int>(it - acc_vars.begin());
       }
-      DistRelation out(static_cast<int>(cols.size()), acc.num_servers());
-      for (int s = 0; s < acc.num_servers(); ++s) {
-        out.fragment(s) = Project(acc.fragment(s), cols);
-      }
-      return out;
+      return ProjectFragments(cluster, std::move(acc), cols);
     }
     case PlanOp::kAlgorithm:
       MPCQP_CHECK(false) << "kAlgorithm nodes are executed by the planner's "

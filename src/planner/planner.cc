@@ -70,12 +70,10 @@ PlannerStats GatherPlannerStats(const ConjunctiveQuery& q,
     const Relation whole = atoms[j].Collect();
     stats.atom_has_duplicates.push_back(Dedup(whole).size() != whole.size());
     for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-      const Relation degrees = DegreeCount(whole, c);
-      stats.distinct[j][v] = degrees.size();
-      for (int64_t i = 0; i < degrees.size(); ++i) {
-        if (static_cast<int64_t>(degrees.at(i, 1)) > heavy_threshold) {
-          stats.var_is_heavy[v] = true;
-        }
+      const ColumnDegrees degrees(atoms[j], c);
+      stats.distinct[j][v] = degrees.Distinct();
+      if (!degrees.Heavy(heavy_threshold).empty()) {
+        stats.var_is_heavy[v] = true;
       }
     }
   }

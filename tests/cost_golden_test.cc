@@ -25,7 +25,7 @@
 #include "mpc/cluster.h"
 #include "mpc/cost.h"
 #include "mpc/dist_relation.h"
-#include "mpc/stats.h"
+#include "join/stats.h"
 #include "multiway/hypercube.h"
 #include "query/ghd.h"
 #include "query/query.h"

@@ -26,6 +26,7 @@
 #include "agg/aggregate.h"
 #include "join/broadcast_join.h"
 #include "join/cartesian.h"
+#include "join/heavy_hitters.h"
 #include "join/hash_join.h"
 #include "join/semi_join.h"
 #include "join/skew_join.h"
@@ -33,7 +34,7 @@
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
-#include "mpc/stats.h"
+#include "join/stats.h"
 #include "multiway/bigjoin.h"
 #include "multiway/hypercube.h"
 #include "query/ghd.h"
@@ -384,6 +385,38 @@ TEST(DeterminismTest, DistributedHeavyHitters) {
     }
     return DistRelation::FromFragments(std::move(frags));
   });
+}
+
+// The degree kernel is unmetered (free statistics), so it is compared
+// directly: heavy set, per-value counts, distinct count and every
+// fragment's partial counts must match the serial run at every thread
+// count.
+TEST(DeterminismTest, FindHeavyHittersAndColumnDegrees) {
+  Rng rng(61);
+  const Relation input = GenerateZipf(rng, 3000, 2, 200, 0, 1.2);
+  const DistRelation dist = DistRelation::Scatter(input, kServers);
+  const int64_t threshold = 3000 / kServers;
+  const std::vector<HeavyHitter> base = FindHeavyHitters(dist, 0, threshold);
+  ASSERT_FALSE(base.empty());
+  const ColumnDegrees base_degrees(dist, 0);
+  for (const int threads : kThreadCounts) {
+    ClusterOptions options;
+    options.num_threads = threads;
+    Cluster cluster(kServers, kSeed, options);
+    EXPECT_EQ(FindHeavyHitters(dist, 0, threshold, &cluster.pool()), base)
+        << "threads=" << threads;
+    const ColumnDegrees degrees(dist, 0, &cluster.pool());
+    EXPECT_EQ(degrees.Heavy(1), base_degrees.Heavy(1)) << threads;
+    EXPECT_EQ(degrees.Distinct(), base_degrees.Distinct()) << threads;
+    for (Value v = 0; v < 200; ++v) {
+      EXPECT_EQ(degrees.Count(v), base_degrees.Count(v)) << threads;
+    }
+    for (int s = 0; s < kServers; ++s) {
+      EXPECT_EQ(degrees.local(s).SortedEntries(),
+                base_degrees.local(s).SortedEntries())
+          << "fragment " << s << " threads=" << threads;
+    }
+  }
 }
 
 // The optimized GYM upward phase intersects semijoin copies via per-id

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/thread_pool.h"
 #include "join/broadcast_join.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
@@ -176,7 +177,7 @@ TEST(HeavyHitterTest, FindsExactlyTheFrequentValues) {
   EXPECT_EQ(hitters[0].value, 1u);
   EXPECT_EQ(hitters[0].count, 100);
   EXPECT_EQ(hitters[1].value, 2u);
-  EXPECT_EQ(CountValue(dist, 1, 3), 5);
+  EXPECT_EQ(ColumnDegrees(dist, 1).Count(3), 5);
 }
 
 TEST(HeavyHitterTest, ThresholdIsStrict) {
@@ -185,6 +186,111 @@ TEST(HeavyHitterTest, ThresholdIsStrict) {
   const DistRelation dist = DistRelation::Scatter(r, 2);
   EXPECT_TRUE(FindHeavyHitters(dist, 0, 10).empty());
   EXPECT_EQ(FindHeavyHitters(dist, 0, 9).size(), 1u);
+}
+
+// ---------- ColumnDegrees (the degree kernel) ----------
+
+// Brute force over the collected relation: DegreeCount's (value, count)
+// table, sorted by value.
+std::vector<HeavyHitter> BruteHeavy(const DistRelation& rel, int col,
+                                    int64_t threshold) {
+  const Relation degrees = DegreeCount(rel.Collect(), col);
+  std::vector<HeavyHitter> heavy;
+  for (int64_t i = 0; i < degrees.size(); ++i) {
+    const auto count = static_cast<int64_t>(degrees.at(i, 1));
+    if (count > threshold) heavy.push_back({degrees.at(i, 0), count});
+  }
+  return heavy;
+}
+
+// Checks Heavy, Count and Distinct against brute force, at 1, 2 and 8
+// threads and serially; every run must agree exactly.
+void ExpectMatchesBruteForce(const DistRelation& rel, int col,
+                             const std::vector<int64_t>& thresholds) {
+  const Relation degrees = DegreeCount(rel.Collect(), col);
+  const ColumnDegrees serial(rel, col);
+  EXPECT_EQ(serial.Distinct(), degrees.size());
+  for (int64_t i = 0; i < degrees.size(); ++i) {
+    EXPECT_EQ(serial.Count(degrees.at(i, 0)),
+              static_cast<int64_t>(degrees.at(i, 1)));
+  }
+  for (const int64_t t : thresholds) {
+    EXPECT_EQ(serial.Heavy(t), BruteHeavy(rel, col, t)) << "threshold " << t;
+  }
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const ColumnDegrees parallel(rel, col, &pool);
+    EXPECT_EQ(parallel.Distinct(), serial.Distinct()) << threads;
+    for (const int64_t t : thresholds) {
+      EXPECT_EQ(parallel.Heavy(t), serial.Heavy(t))
+          << "threshold " << t << " threads " << threads;
+    }
+  }
+}
+
+// `per_fragment` copies of `value` on each of `p` fragments, plus `extra`
+// more on fragment 0 and a light filler value on every fragment.
+DistRelation EvenSpread(int p, int64_t per_fragment, int64_t extra,
+                        Value value) {
+  std::vector<Relation> fragments(p, Relation(2));
+  for (int s = 0; s < p; ++s) {
+    const int64_t copies = per_fragment + (s == 0 ? extra : 0);
+    for (int64_t i = 0; i < copies; ++i) {
+      fragments[s].AppendRow({static_cast<Value>(s), value});
+    }
+    fragments[s].AppendRow(
+        {static_cast<Value>(s), 1000 + static_cast<Value>(s)});
+  }
+  return DistRelation::FromFragments(std::move(fragments));
+}
+
+TEST(ColumnDegreesTest, EvenSpreadAtExactlyThresholdOverP) {
+  // τ = 40 over p = 8: value 7 sits exactly τ/p = 5 times per fragment,
+  // so no fragment reaches local·p > τ. At total τ it is not heavy (the
+  // threshold is strict); one more copy makes fragment 0 a witness.
+  const int p = 8;
+  const int64_t tau = 40;
+  const DistRelation at_tau = EvenSpread(p, tau / p, 0, 7);
+  EXPECT_TRUE(ColumnDegrees(at_tau, 1).Heavy(tau).empty());
+  EXPECT_EQ(ColumnDegrees(at_tau, 1).Count(7), tau);
+  ExpectMatchesBruteForce(at_tau, 1, {tau - 1, tau, tau + 1});
+
+  const DistRelation above = EvenSpread(p, tau / p, 1, 7);
+  const std::vector<HeavyHitter> expected = {{7, tau + 1}};
+  EXPECT_EQ(ColumnDegrees(above, 1).Heavy(tau), expected);
+  ExpectMatchesBruteForce(above, 1, {tau - 1, tau, tau + 1});
+}
+
+TEST(ColumnDegreesTest, ThresholdBelowServerCountMakesEveryValueACandidate) {
+  Rng rng(11);
+  const DistRelation rel =
+      DistRelation::Scatter(GenerateUniform(rng, 400, 2, 60), 16);
+  ExpectMatchesBruteForce(rel, 0, {0, 1, 3, 7, 15});
+}
+
+TEST(ColumnDegreesTest, EmptyFragmentsAndSingleServer) {
+  Rng rng(12);
+  const Relation small = GenerateZipf(rng, 10, 2, 5, 1, 1.5);
+  // 10 rows over 32 servers: most fragments are empty.
+  ExpectMatchesBruteForce(DistRelation::Scatter(small, 32), 1, {0, 1, 2, 5});
+  ExpectMatchesBruteForce(DistRelation::Scatter(small, 1), 1, {0, 1, 2, 5});
+  const DistRelation empty(2, 4);
+  const ColumnDegrees none(empty, 0);
+  EXPECT_EQ(none.Distinct(), 0);
+  EXPECT_EQ(none.Count(3), 0);
+  EXPECT_TRUE(none.Heavy(0).empty());
+}
+
+TEST(ColumnDegreesTest, ZipfInputs) {
+  for (const double skew : {0.8, 1.1, 1.6}) {
+    Rng rng(13);
+    const Relation rel = GenerateZipf(rng, 6000, 2, 800, 0, skew);
+    for (const int p : {1, 7, 64}) {
+      const DistRelation dist = DistRelation::Scatter(rel, p);
+      ExpectMatchesBruteForce(dist, 0, {0, 6000 / p, 6000 / (2 * p), 500});
+      ExpectMatchesBruteForce(dist, 1, {6000 / p});
+    }
+  }
 }
 
 // ---------- Skew-aware join ----------

@@ -2,7 +2,7 @@
 
 #include "join/heavy_hitters.h"
 #include "mpc/cluster.h"
-#include "mpc/stats.h"
+#include "join/stats.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
 
