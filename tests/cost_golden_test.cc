@@ -26,6 +26,7 @@
 #include "mpc/cost.h"
 #include "mpc/dist_relation.h"
 #include "join/stats.h"
+#include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
 #include "query/ghd.h"
 #include "query/query.h"
@@ -126,6 +127,55 @@ TEST(CostGoldenTest, SkewJoin) {
   SkewAwareJoin(cluster, DistRelation::Scatter(left, kServers),
                 DistRelation::Scatter(right, kServers), 0, 0, rng);
   ExpectMatchesGolden("SkewJoin", cluster.cost_report(), kSkewJoin);
+}
+
+// ---------- Skew-aware binary plan with a product step ----------
+
+const GoldenRound kBinaryPlan[] = {
+    {"skew-aware join: shuffle", 172, 1038, 0xa2ed4f130f599ddfULL},
+    {"skew-aware join: shuffle", 2879, 15697, 0x298cad6eea2177e7ULL},
+    {"cartesian product scatter", 7843, 61978, 0x9a2666b7e334116bULL},
+};
+
+// A Zipf chain A(x,y) ⋈ B(y,z) ⋈ C(z,w) (heavy y and z values, so both
+// join steps take the skew-aware path) followed by a disconnected D(u),
+// which the identity order joins as a Cartesian product. Pins the rounds,
+// the intermediate sizes, and the output fragments bit for bit.
+TEST(CostGoldenTest, BinaryPlan) {
+  const auto q = ConjunctiveQuery::Parse("A(x,y), B(y,z), C(z,w), D(u)");
+  ASSERT_TRUE(q.ok());
+  Rng data_rng(51);
+  std::vector<DistRelation> atoms;
+  atoms.push_back(DistRelation::Scatter(
+      GenerateZipf(data_rng, 300, 2, 50, 1, 1.3), kServers));
+  atoms.push_back(DistRelation::Scatter(
+      GenerateZipf(data_rng, 300, 2, 50, 0, 1.3), kServers));
+  atoms.push_back(DistRelation::Scatter(
+      GenerateZipf(data_rng, 200, 2, 50, 0, 1.1), kServers));
+  atoms.push_back(DistRelation::Scatter(
+      GenerateUniform(data_rng, 4, 1, 100), kServers));
+  Cluster cluster(kServers, kSeed);
+  Rng rng(52);
+  BinaryPlanOptions options;
+  options.skew_aware = true;
+  const BinaryPlanResult result =
+      IterativeBinaryJoin(cluster, *q, atoms, rng, options);
+  ExpectMatchesGolden("BinaryPlan", cluster.cost_report(), kBinaryPlan);
+
+  // Output fragments in server order, row by row.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int s = 0; s < result.output.num_servers(); ++s) {
+    const Relation& fragment = result.output.fragment(s);
+    h = Fnv1a(h, fragment.size());
+    for (int64_t i = 0; i < fragment.size(); ++i) {
+      for (int c = 0; c < fragment.arity(); ++c) {
+        h = Fnv1a(h, static_cast<int64_t>(fragment.at(i, c)));
+      }
+    }
+  }
+  EXPECT_EQ(result.intermediate_sizes,
+            (std::vector<int64_t>{15497, 61946, 247784}));
+  EXPECT_EQ(h, 0x846332191ddbd935ULL);
 }
 
 // ---------- HyperCube triangle ----------
