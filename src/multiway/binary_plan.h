@@ -2,7 +2,6 @@
 #define MPCQP_MULTIWAY_BINARY_PLAN_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -30,31 +29,19 @@ struct BinaryPlanOptions {
 struct BinaryPlanResult {
   // Output columns = query variables in id order.
   DistRelation output;
-  // Total size of each intermediate (after each of the l-1 join steps).
+  // Total size of each intermediate (after each of the l-1 join steps):
+  // the walker's actual rows at the tree's join and product nodes.
   std::vector<int64_t> intermediate_sizes;
 };
 
-// atoms[j] instantiates q.atom(j).
+// atoms[j] instantiates q.atom(j). Builds the order's join-order tree
+// (BuildJoinOrderTree) and walks it with ExecuteJoinOrderTree, the
+// executor the planner's binary plans use too.
 BinaryPlanResult IterativeBinaryJoin(Cluster& cluster,
                                      const ConjunctiveQuery& q,
                                      const std::vector<DistRelation>& atoms,
                                      Rng& rng,
                                      const BinaryPlanOptions& options = {});
-
-// Locally normalizes one atom instance: drops rows violating intra-atom
-// repeated variables and projects to one column per distinct variable.
-// Returns the normalized distributed relation and its variable list.
-// Shared with the planner's plan-tree executor, which must reproduce
-// IterativeBinaryJoin's data path bit for bit.
-std::pair<DistRelation, std::vector<int>> NormalizeAtomDist(
-    const Atom& atom, const DistRelation& rel);
-
-// Reorders every fragment's columns to `cols` (local compute), one server
-// per pool task. The identity order returns `rel` itself: fragments are
-// copy-on-write handles, so no row is copied. Shared with the plan-tree
-// executor's projection node for the same reason as NormalizeAtomDist.
-DistRelation ProjectFragments(Cluster& cluster, DistRelation rel,
-                              const std::vector<int>& cols);
 
 }  // namespace mpcqp
 

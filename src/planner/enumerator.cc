@@ -6,7 +6,7 @@
 #include <string>
 
 #include "common/check.h"
-#include "planner/plan_tree.h"
+#include "multiway/plan_tree.h"
 
 namespace mpcqp {
 
@@ -276,8 +276,7 @@ EnumerationResult EnumeratePlans(const ConjunctiveQuery& q,
   std::vector<int> order(q.num_atoms());
   for (int j = 0; j < q.num_atoms(); ++j) order[j] = j;
   std::vector<double> step_rows;
-  if (binary != nullptr && q.num_atoms() >= 2 &&
-      options.enumerate_join_orders) {
+  if (binary != nullptr && q.num_atoms() >= 2) {
     const bool exact =
         q.num_atoms() <= options.max_dp_atoms && q.num_vars() <= 63;
     const OrderSearch search =
@@ -293,14 +292,6 @@ EnumerationResult EnumeratePlans(const ConjunctiveQuery& q,
                         "; max estimated intermediate " +
                         std::to_string(
                             static_cast<int64_t>(search.bottleneck));
-  } else if (binary != nullptr) {
-    // No enumeration: the identity cascade's step estimates still
-    // annotate the tree.
-    uint32_t prefix = 1u;
-    for (int j = 1; j < q.num_atoms(); ++j) {
-      prefix |= 1u << j;
-      step_rows.push_back(EstimateMaskRows(q, stats, prefix));
-    }
   }
 
   const CandidatePlan* best = nullptr;

@@ -9,9 +9,7 @@
 #include "common/check.h"
 #include "join/heavy_hitters.h"
 #include "multiway/bigjoin.h"
-#include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
-#include "multiway/join_order.h"
 #include "multiway/shares.h"
 #include "multiway/skew_hc.h"
 #include "planner/enumerator.h"
@@ -22,23 +20,23 @@
 
 namespace mpcqp {
 
-const char* PlanAlgorithmName(PlanAlgorithm algorithm) {
-  switch (algorithm) {
-    case PlanAlgorithm::kHyperCube:
-      return "hypercube";
-    case PlanAlgorithm::kSkewHc:
-      return "skew-hc";
-    case PlanAlgorithm::kBinaryPlan:
-      return "binary-plan";
-    case PlanAlgorithm::kGym:
-      return "gym";
-    case PlanAlgorithm::kBigJoin:
-      return "bigjoin";
-  }
-  return "unknown";
-}
-
 namespace {
+
+// The one name table: each family's plan name and its --algorithm
+// spelling.
+struct FamilyNames {
+  PlanAlgorithm family;
+  const char* name;
+  const char* flag;
+};
+
+constexpr FamilyNames kFamilyNames[] = {
+    {PlanAlgorithm::kHyperCube, "hypercube", "hypercube"},
+    {PlanAlgorithm::kSkewHc, "skew-hc", "skewhc"},
+    {PlanAlgorithm::kBinaryPlan, "binary-plan", "binary"},
+    {PlanAlgorithm::kGym, "gym", "gym"},
+    {PlanAlgorithm::kBigJoin, "bigjoin", "bigjoin"},
+};
 
 // First-occurrence column of each distinct variable of an atom.
 std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
@@ -55,6 +53,35 @@ std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
 }
 
 }  // namespace
+
+const char* PlanAlgorithmName(PlanAlgorithm algorithm) {
+  for (const FamilyNames& names : kFamilyNames) {
+    if (names.family == algorithm) return names.name;
+  }
+  return "unknown";
+}
+
+StatusOr<std::optional<PlanAlgorithm>> ParsePlanAlgorithm(
+    const std::string& name) {
+  if (name == "auto" || name == "planner") {
+    return std::optional<PlanAlgorithm>();
+  }
+  for (const FamilyNames& names : kFamilyNames) {
+    if (name == names.name || name == names.flag) {
+      return std::optional<PlanAlgorithm>(names.family);
+    }
+  }
+  return InvalidArgumentError("unknown algorithm '" + name + "' (expected " +
+                              PlanAlgorithmChoices() + ")");
+}
+
+std::string PlanAlgorithmChoices() {
+  std::string out;
+  for (const FamilyNames& names : kFamilyNames) {
+    out += std::string(names.flag) + "|";
+  }
+  return out + "auto|planner";
+}
 
 PlannerStats GatherPlannerStats(const ConjunctiveQuery& q,
                                 const std::vector<DistRelation>& atoms,
@@ -305,77 +332,6 @@ CandidatePlan EstimateCandidate(PlanAlgorithm algorithm,
   return CandidatePlan();
 }
 
-PlanChoice ChoosePlan(const ConjunctiveQuery& q,
-                      const std::vector<DistRelation>& atoms,
-                      int cluster_size, const PlannerOptions& options) {
-  MPCQP_CHECK_EQ(static_cast<int>(atoms.size()), q.num_atoms());
-  MPCQP_CHECK_GE(cluster_size, 1);
-  const int p = cluster_size;
-
-  const int64_t threshold =
-      HeavyThreshold(atoms, p, options.threshold_factor);
-  const PlannerStats stats = GatherPlannerStats(q, atoms, threshold);
-
-  PlanChoice choice;
-  for (bool heavy : stats.var_is_heavy) {
-    if (heavy) choice.input_is_skewed = true;
-  }
-
-  std::vector<PlanAlgorithm> allowed = options.allowed;
-  if (allowed.empty()) {
-    allowed = {PlanAlgorithm::kHyperCube, PlanAlgorithm::kSkewHc,
-               PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kGym,
-               PlanAlgorithm::kBigJoin};
-  }
-  for (const PlanAlgorithm algorithm : allowed) {
-    CandidatePlan plan = EstimateCandidate(algorithm, q, stats, p);
-    plan.total_cost = PriceCandidate(plan.estimated_load,
-                                     plan.estimated_rounds, q, options);
-    choice.candidates.push_back(std::move(plan));
-  }
-
-  const CandidatePlan* best = nullptr;
-  for (const CandidatePlan& plan : choice.candidates) {
-    if (!plan.feasible) continue;
-    if (best == nullptr || plan.total_cost < best->total_cost ||
-        (plan.total_cost == best->total_cost &&
-         plan.estimated_rounds < best->estimated_rounds)) {
-      best = &plan;
-    }
-  }
-  MPCQP_CHECK(best != nullptr);
-  choice.chosen = *best;
-  return choice;
-}
-
-DistRelation ExecutePlan(Cluster& cluster, const ConjunctiveQuery& q,
-                         const std::vector<DistRelation>& atoms,
-                         const PlanChoice& choice, Rng& rng) {
-  switch (choice.chosen.algorithm) {
-    case PlanAlgorithm::kHyperCube:
-      return HyperCubeJoin(cluster, q, atoms).output;
-    case PlanAlgorithm::kSkewHc:
-      return SkewHcJoin(cluster, q, atoms).output;
-    case PlanAlgorithm::kBinaryPlan: {
-      BinaryPlanOptions options;
-      options.skew_aware = choice.input_is_skewed;
-      options.order = GreedyJoinOrder(q, atoms);
-      return IterativeBinaryJoin(cluster, q, atoms, rng, options).output;
-    }
-    case PlanAlgorithm::kGym: {
-      const auto tree = BuildJoinTree(q);
-      MPCQP_CHECK(tree.ok());
-      GymOptions options;
-      options.optimized = true;
-      return GymJoin(cluster, q, *tree, atoms, rng, options).output;
-    }
-    case PlanAlgorithm::kBigJoin:
-      return BigJoin(cluster, q, atoms).output;
-  }
-  MPCQP_CHECK(false) << "unknown algorithm";
-  return DistRelation(q.num_vars(), cluster.num_servers());
-}
-
 PlannedQuery PlanQuery(const ConjunctiveQuery& q,
                        const std::vector<DistRelation>& atoms,
                        int cluster_size, const PlannerOptions& options,
@@ -421,20 +377,43 @@ PlannedQuery PlanQuery(const ConjunctiveQuery& q,
   return out;
 }
 
+StatusOr<PlannedQuery> ForcedPlan(const ConjunctiveQuery& q,
+                                  PlanAlgorithm family) {
+  PlannedQuery out;
+  out.forced = true;
+  out.plan.family = family;
+  out.plan.rationale = "forced by name";
+  if (family == PlanAlgorithm::kBinaryPlan) {
+    for (int j = 0; j < q.num_atoms(); ++j) out.plan.join_order.push_back(j);
+    out.plan.skew_aware = true;
+    out.plan.tree = BuildJoinOrderTree(q, out.plan.join_order,
+                                       out.plan.skew_aware, /*est_rows=*/{});
+    return out;
+  }
+  if (family == PlanAlgorithm::kGym && !IsAcyclic(q)) {
+    return InvalidArgumentError("gym needs an acyclic query: " +
+                                q.ToString() + " is cyclic");
+  }
+  out.plan.tree = BuildAlgorithmTree(q, PlanAlgorithmName(family));
+  return out;
+}
+
 DistRelation ExecutePlannedQuery(Cluster& cluster, const ConjunctiveQuery& q,
                                  const std::vector<DistRelation>& atoms,
                                  const PlannedQuery& planned, Rng& rng) {
-  cluster.metrics().RecordPlanning(planned.planning_ms, planned.cache_hit);
+  if (!planned.forced) {
+    cluster.metrics().RecordPlanning(planned.planning_ms, planned.cache_hit);
+  }
   switch (planned.plan.family) {
     case PlanAlgorithm::kHyperCube:
       return HyperCubeJoin(cluster, q, atoms).output;
     case PlanAlgorithm::kSkewHc:
       return SkewHcJoin(cluster, q, atoms).output;
     case PlanAlgorithm::kBinaryPlan:
-      // Walk the explicit tree; bit-identical to IterativeBinaryJoin with
-      // the same order and skew flag (shared data path).
       return ExecuteJoinOrderTree(cluster, q, atoms, planned.plan.tree, rng);
     case PlanAlgorithm::kGym: {
+      // PlanQuery marks GYM infeasible on cyclic queries and ForcedPlan
+      // rejects them, so no user input reaches this check.
       const auto tree = BuildJoinTree(q);
       MPCQP_CHECK(tree.ok());
       GymOptions options;

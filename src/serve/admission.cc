@@ -12,7 +12,8 @@ AdmissionController::AdmissionController(int max_inflight, int max_queued)
   MPCQP_CHECK_GE(max_queued, 0);
 }
 
-Status AdmissionController::Admit(int64_t estimated_bytes) {
+StatusOr<AdmissionController::Grant> AdmissionController::Admit(
+    int64_t estimated_bytes) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (counters_.inflight >= max_inflight_) {
     if (queued_ >= max_queued_) {
@@ -34,7 +35,7 @@ Status AdmissionController::Admit(int64_t estimated_bytes) {
       std::max(counters_.peak_inflight, counters_.inflight);
   counters_.peak_inflight_bytes =
       std::max(counters_.peak_inflight_bytes, counters_.inflight_bytes);
-  return OkStatus();
+  return Grant(this, estimated_bytes);
 }
 
 void AdmissionController::Release(int64_t estimated_bytes) {

@@ -4,8 +4,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 
 #include "common/status.h"
+#include "common/statusor.h"
 
 namespace mpcqp {
 
@@ -32,17 +34,38 @@ class AdmissionController {
     int64_t peak_inflight_bytes = 0;
   };
 
+  // One admitted query's slot and bytes, handed back when the grant is
+  // destroyed, so no return path can leak capacity. Move-only.
+  class Grant {
+   public:
+    Grant(Grant&& other) noexcept
+        : owner_(std::exchange(other.owner_, nullptr)),
+          bytes_(other.bytes_) {}
+    ~Grant() {
+      if (owner_ != nullptr) owner_->Release(bytes_);
+    }
+
+   private:
+    friend class AdmissionController;
+    Grant(AdmissionController* owner, int64_t bytes)
+        : owner_(owner), bytes_(bytes) {}
+
+    AdmissionController* owner_;
+    int64_t bytes_;
+  };
+
   AdmissionController(int max_inflight, int max_queued);
 
   // Blocks until one of the max_inflight slots is free, charging
-  // `estimated_bytes` to the in-flight total; UNAVAILABLE when the wait
-  // queue is already full. Pair every OK return with one Release().
-  Status Admit(int64_t estimated_bytes);
-  void Release(int64_t estimated_bytes);
+  // `estimated_bytes` to the in-flight total until the grant is destroyed;
+  // UNAVAILABLE when the wait queue is already full.
+  StatusOr<Grant> Admit(int64_t estimated_bytes);
 
   Counters counters() const;
 
  private:
+  void Release(int64_t estimated_bytes);
+
   const int max_inflight_;
   const int max_queued_;
   mutable std::mutex mutex_;

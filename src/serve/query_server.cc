@@ -6,18 +6,11 @@
 #include <utility>
 #include <vector>
 
-#include "acyclic/gym.h"
 #include "common/check.h"
-#include "common/random.h"
 #include "mpc/cluster.h"
-#include "mpc/dist_relation.h"
-#include "multiway/binary_plan.h"
-#include "multiway/hypercube.h"
-#include "multiway/skew_hc.h"
-#include "planner/planner.h"
-#include "query/ghd.h"
 #include "query/hypergraph_lp.h"
 #include "query/query.h"
+#include "serve/request_runner.h"
 
 namespace mpcqp {
 namespace {
@@ -128,6 +121,11 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
   auto resolved = Resolve(q, *catalog_);
   if (!resolved.ok()) return resolved.status();
 
+  // An unknown algorithm name or a family that cannot run `q` fails here,
+  // before the request coalesces or takes an admission slot.
+  const auto forced = ResolveAlgorithm(q, options_.algorithm);
+  if (!forced.ok()) return forced.status();
+
   const int64_t estimated_bytes = EstimateBytes(q, *resolved);
   if (options_.mem_budget_bytes > 0 &&
       estimated_bytes > options_.mem_budget_bytes) {
@@ -142,20 +140,20 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
   }
 
   const std::string key = BuildKey(q, *resolved, options_);
+  auto cache_hit = [&](QueryResult* result) {
+    if (!options_.enable_result_cache ||
+        !result_cache_.Lookup(key, &result->output)) {
+      return false;
+    }
+    result->algorithm = options_.algorithm;
+    result->result_cache_hit = true;
+    result->latency_ms = NowMs() - start_ms;
+    return true;
+  };
 
   // Fast path: a previous execution against the same data already
   // answered this.
-  if (options_.enable_result_cache) {
-    Relation cached;
-    if (result_cache_.Lookup(key, &cached)) {
-      QueryResult result;
-      result.output = std::move(cached);
-      result.algorithm = options_.algorithm;
-      result.result_cache_hit = true;
-      result.latency_ms = NowMs() - start_ms;
-      return result;
-    }
-  }
+  if (QueryResult result; cache_hit(&result)) return result;
 
   // Coalesce with an identical in-flight execution, or become the leader.
   std::shared_ptr<Inflight> flight;
@@ -175,101 +173,54 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
       result.latency_ms = NowMs() - start_ms;
       return result;
     }
+    // A leader inserts into the result cache before it takes this lock to
+    // erase its in-flight entry, so one that finished after our fast-path
+    // miss has its answer in the cache by now. Without this re-check we
+    // would execute the query a second time.
+    if (QueryResult result; cache_hit(&result)) return result;
     flight = std::make_shared<Inflight>();
     inflight_[key] = flight;
   }
 
   // Leader path. Whatever happens, we must publish to followers and
   // remove the in-flight entry.
-  auto publish = [&](Status status) {
+  auto publish = [&](Status status, const QueryResult* result) {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (result != nullptr) {
+      ++counters_.executed;
+      flight->output = result->output;
+      flight->algorithm = result->algorithm;
+      flight->plan_cache_hit = result->plan_cache_hit;
+    }
     flight->status = std::move(status);
     flight->done = true;
     inflight_.erase(key);
     flight->done_cv.notify_all();
   };
 
-  if (Status admitted = admission_.Admit(estimated_bytes); !admitted.ok()) {
-    publish(admitted);
-    return admitted;
+  const auto grant = admission_.Admit(estimated_bytes);
+  if (!grant.ok()) {
+    publish(grant.status(), nullptr);
+    return grant.status();
   }
 
-  ClusterOptions cluster_options;
-  cluster_options.morsel_rows = options_.morsel_rows;
-  cluster_options.layout = options_.layout;
-  cluster_options.shared_pool = pool_;
-  // seed + 1 for the cluster, seed + 2 for the algorithm Rng: the exact
-  // derivation mpcqp_run uses, so served answers are bit-identical to the
-  // one-shot CLI.
-  Cluster cluster(options_.num_servers, options_.seed + 1, cluster_options);
-  Cluster::ScopedExecution exec_scope(cluster);
-
-  std::vector<DistRelation> dist;
-  dist.reserve(resolved->entries.size());
+  std::vector<Relation> inputs;
+  inputs.reserve(resolved->entries.size());
   for (const Catalog::Entry& entry : resolved->entries) {
-    dist.push_back(DistRelation::Scatter(entry.relation, options_.num_servers,
-                                         &cluster.pool()));
+    inputs.push_back(entry.relation);
   }
-  Rng algo_rng(options_.seed + 2);
-
-  std::string algorithm = options_.algorithm;
-  bool plan_cache_hit = false;
-  DistRelation output(q.num_vars(), options_.num_servers);
-  if (algorithm == "auto" || algorithm == "planner") {
-    PlannerOptions planner_options;
-    planner_options.round_cost_tuples = options_.round_cost;
-    const PlannedQuery planned =
-        PlanQuery(q, dist, options_.num_servers, planner_options,
-                  options_.enable_plan_cache ? &plan_cache_ : nullptr);
-    plan_cache_hit = planned.cache_hit;
-    output = ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
-    algorithm = PlanAlgorithmName(planned.plan.family);
-  } else if (algorithm == "hypercube") {
-    output = HyperCubeJoin(cluster, q, dist).output;
-  } else if (algorithm == "skewhc") {
-    output = SkewHcJoin(cluster, q, dist).output;
-  } else if (algorithm == "binary") {
-    BinaryPlanOptions plan;
-    plan.skew_aware = true;
-    output = IterativeBinaryJoin(cluster, q, dist, algo_rng, plan).output;
-  } else if (algorithm == "gym") {
-    const auto tree = BuildJoinTree(q);
-    if (!tree.ok()) {
-      admission_.Release(estimated_bytes);
-      publish(tree.status());
-      return tree.status();
-    }
-    GymOptions gym;
-    gym.optimized = true;
-    output = GymJoin(cluster, q, *tree, dist, algo_rng, gym).output;
-  } else {
-    admission_.Release(estimated_bytes);
-    const Status status =
-        InvalidArgumentError("unknown algorithm: " + algorithm);
-    publish(status);
-    return status;
-  }
+  QueryRun run = RunQuery(q, inputs, *forced, options_, &plan_cache_);
 
   QueryResult result;
-  result.output = output.Collect(&cluster.pool());
-  result.stats = BuildStatsReport(cluster);
-  result.algorithm = algorithm;
-  result.plan_cache_hit = plan_cache_hit;
+  result.output = run.output.Collect(&run.cluster->pool());
+  result.stats = BuildStatsReport(*run.cluster);
+  result.algorithm = run.algorithm;
+  result.plan_cache_hit = run.planned.cache_hit;
 
   if (options_.enable_result_cache) {
     result_cache_.Insert(key, result.output);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.executed;
-    flight->output = result.output;
-    flight->algorithm = result.algorithm;
-    flight->plan_cache_hit = result.plan_cache_hit;
-    flight->done = true;
-    inflight_.erase(key);
-    flight->done_cv.notify_all();
-  }
-  admission_.Release(estimated_bytes);
+  publish(OkStatus(), &result);
 
   result.latency_ms = NowMs() - start_ms;
   return result;

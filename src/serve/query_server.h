@@ -17,34 +17,10 @@
 #include "relation/relation.h"
 #include "serve/admission.h"
 #include "serve/catalog.h"
+#include "serve/request_runner.h"
 #include "serve/result_cache.h"
 
 namespace mpcqp {
-
-// Configuration of one serving endpoint. Defaults match mpcqp_run's
-// single-query defaults so `--serve` answers exactly what the one-shot
-// CLI would.
-struct ServeOptions {
-  int num_servers = 16;       // Simulated MPC cluster size p per query.
-  int num_threads = 1;        // Shared pool width (first creator sizes it).
-  int64_t morsel_rows = 8192;
-  // Physical layout for hot kernels (never changes answers; see
-  // ClusterOptions::layout).
-  LayoutMode layout = LayoutMode::kAuto;
-  std::string algorithm = "auto";  // auto|planner|hypercube|skewhc|binary|gym.
-  uint64_t seed = 42;
-  double round_cost = 0.0;    // Planner λ (tuples per round).
-  // Admission control: at most max_inflight queries execute, at most
-  // max_queued more wait; beyond that Execute returns UNAVAILABLE.
-  int max_inflight = 4;
-  int max_queued = 64;
-  // Per-query memory budget (estimated input + output footprint); 0 =
-  // unlimited. Queries whose estimate exceeds it get RESOURCE_EXHAUSTED
-  // without taking an admission slot.
-  int64_t mem_budget_bytes = 0;
-  bool enable_result_cache = true;
-  bool enable_plan_cache = true;
-};
 
 // What one served query returns: the collected output relation plus the
 // per-query stats the runtime is required to keep isolated per Cluster.
@@ -79,10 +55,10 @@ struct QueryResult {
 // Execute() is thread-safe and blocking: call it from as many client
 // threads as you like (serve/load_driver.h does exactly that).
 //
-// Determinism: every execution builds its Cluster with seed + 1 and its
-// algorithm Rng with seed + 2 — the same derivation mpcqp_run uses — so a
-// query's output and CostReport are bit-identical to a solo run of the
-// one-shot CLI, no matter how many queries are in flight around it.
+// Determinism: every execution goes through RunQuery
+// (serve/request_runner.h), the runner mpcqp_run's one-shot path calls
+// too, so a query's output and CostReport are bit-identical to a solo run
+// of the CLI, no matter how many queries are in flight around it.
 class QueryServer {
  public:
   struct Counters {
@@ -96,7 +72,8 @@ class QueryServer {
   QueryServer(Catalog* catalog, ServeOptions options);
 
   // Parses, resolves, admits, executes (or serves from cache), collects.
-  // Errors: INVALID_ARGUMENT (bad query), NOT_FOUND (unknown atom name),
+  // Errors: INVALID_ARGUMENT (bad query, unknown algorithm, or a family
+  // that cannot run the query), NOT_FOUND (unknown atom name),
   // RESOURCE_EXHAUSTED (over memory budget), UNAVAILABLE (admission queue
   // full).
   StatusOr<QueryResult> Execute(const std::string& query_text);

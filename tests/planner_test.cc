@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mpc/cluster.h"
-#include "multiway/binary_plan.h"
+#include "common/status.h"
 #include "planner/calibration.h"
 #include "planner/enumerator.h"
 #include "planner/plan_cache.h"
@@ -26,13 +26,13 @@ TEST(PlannerTest, CyclicQueryCannotUseGym) {
   for (int j = 0; j < 3; ++j) {
     atoms.push_back(GenerateUniform(rng, 500, 2, 100));
   }
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 16), 16);
+  const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 16), 16);
   for (const CandidatePlan& plan : choice.candidates) {
     if (plan.algorithm == PlanAlgorithm::kGym) {
       EXPECT_FALSE(plan.feasible);
     }
   }
-  EXPECT_NE(choice.chosen.algorithm, PlanAlgorithm::kGym);
+  EXPECT_NE(choice.plan.family, PlanAlgorithm::kGym);
 }
 
 TEST(PlannerTest, HighRoundCostFavorsOneRoundPlans) {
@@ -46,13 +46,13 @@ TEST(PlannerTest, HighRoundCostFavorsOneRoundPlans) {
   cheap_rounds.round_cost_tuples = 0.0;
   PlannerOptions expensive_rounds;
   expensive_rounds.round_cost_tuples = 1e7;
-  const PlanChoice flexible =
-      ChoosePlan(q, Scatter(atoms, 64), 64, cheap_rounds);
-  const PlanChoice latency_bound =
-      ChoosePlan(q, Scatter(atoms, 64), 64, expensive_rounds);
-  EXPECT_EQ(latency_bound.chosen.estimated_rounds, 1);
-  EXPECT_LE(flexible.chosen.estimated_load,
-            latency_bound.chosen.estimated_load + 1e-9);
+  const PlannedQuery flexible =
+      PlanQuery(q, Scatter(atoms, 64), 64, cheap_rounds);
+  const PlannedQuery latency_bound =
+      PlanQuery(q, Scatter(atoms, 64), 64, expensive_rounds);
+  EXPECT_EQ(latency_bound.plan.estimated_rounds, 1);
+  EXPECT_LE(flexible.plan.estimated_load,
+            latency_bound.plan.estimated_load + 1e-9);
 }
 
 TEST(PlannerTest, DetectsSkewAndPrefersSkewResilientPlan) {
@@ -65,9 +65,9 @@ TEST(PlannerTest, DetectsSkewAndPrefersSkewResilientPlan) {
   };
   PlannerOptions options;
   options.round_cost_tuples = 1e7;  // Force a one-round plan.
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 64), 64, options);
+  const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 64), 64, options);
   EXPECT_TRUE(choice.input_is_skewed);
-  EXPECT_EQ(choice.chosen.algorithm, PlanAlgorithm::kSkewHc);
+  EXPECT_EQ(choice.plan.family, PlanAlgorithm::kSkewHc);
 }
 
 TEST(PlannerTest, AcyclicSelectiveQueryPicksGymWhenRoundsAreFree) {
@@ -81,7 +81,7 @@ TEST(PlannerTest, AcyclicSelectiveQueryPicksGymWhenRoundsAreFree) {
   PlannerOptions options;
   options.round_cost_tuples = 0.0;
   options.allowed = {PlanAlgorithm::kHyperCube, PlanAlgorithm::kGym};
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 64), 64, options);
+  const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 64), 64, options);
   // Star-3 has tau* = 1: HyperCube's one-round load is ~IN/p^{1/1}... but
   // the whole star concentrates on the center dimension, so its load
   // estimate is ~IN/p too; GYM wins or ties. Either way both must beat
@@ -98,8 +98,7 @@ TEST(PlannerTest, BigJoinInfeasibleWithDuplicateInputs) {
   const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
   Relation dup = Relation::FromRows({{1, 2}, {1, 2}});
   Relation clean = Relation::FromRows({{2, 3}});
-  const PlanChoice choice =
-      ChoosePlan(q, Scatter({dup, clean}, 4), 4);
+  const PlannedQuery choice = PlanQuery(q, Scatter({dup, clean}, 4), 4);
   for (const CandidatePlan& plan : choice.candidates) {
     if (plan.algorithm == PlanAlgorithm::kBigJoin) {
       EXPECT_FALSE(plan.feasible);
@@ -120,13 +119,13 @@ TEST(PlannerTest, ExecutePlanMatchesReferenceForEveryAlgorithm) {
         PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kBigJoin}) {
     PlannerOptions options;
     options.allowed = {algorithm};
-    const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 8), 8, options);
-    ASSERT_TRUE(choice.chosen.feasible)
-        << PlanAlgorithmName(algorithm) << ": " << choice.chosen.rationale;
+    const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 8), 8, options);
+    ASSERT_EQ(choice.plan.family, algorithm)
+        << PlanAlgorithmName(algorithm) << ": " << choice.plan.rationale;
     Cluster cluster(8, 5);
     Rng rng(6);
     const DistRelation out =
-        ExecutePlan(cluster, q, Scatter(atoms, 8), choice, rng);
+        ExecutePlannedQuery(cluster, q, Scatter(atoms, 8), choice, rng);
     EXPECT_TRUE(MultisetEqual(out.Collect(), expected))
         << PlanAlgorithmName(algorithm);
   }
@@ -141,12 +140,12 @@ TEST(PlannerTest, ExecuteGymPlanOnAcyclicQuery) {
   }
   PlannerOptions options;
   options.allowed = {PlanAlgorithm::kGym};
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 8), 8, options);
-  ASSERT_TRUE(choice.chosen.feasible);
+  const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 8), 8, options);
+  ASSERT_EQ(choice.plan.family, PlanAlgorithm::kGym);
   Cluster cluster(8, 5);
   Rng rng(8);
   const DistRelation out =
-      ExecutePlan(cluster, q, Scatter(atoms, 8), choice, rng);
+      ExecutePlannedQuery(cluster, q, Scatter(atoms, 8), choice, rng);
   EXPECT_TRUE(MultisetEqual(out.Collect(), EvalJoinLocal(q, atoms)));
 }
 
@@ -199,49 +198,6 @@ TEST(PlannerTest, DpAvoidsBlowupJoinOrder) {
   EXPECT_TRUE(MultisetEqual(out.Collect(), EvalJoinLocal(q, atoms)));
 }
 
-TEST(PlannerTest, TreeExecutorBitIdenticalToBinaryDriver) {
-  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  Rng data_rng(17);
-  std::vector<Relation> atoms;
-  for (int j = 0; j < 3; ++j) {
-    atoms.push_back(GenerateZipf(data_rng, 400, 2, 30, 0, 1.1));
-  }
-  PlannerOptions options;
-  options.allowed = {PlanAlgorithm::kBinaryPlan};
-  const PlannedQuery planned =
-      PlanQuery(q, Scatter(atoms, 8), 8, options, nullptr);
-  ASSERT_EQ(planned.plan.family, PlanAlgorithm::kBinaryPlan);
-
-  Cluster tree_cluster(8, 9);
-  Rng tree_rng(12);
-  const DistRelation via_tree = ExecutePlannedQuery(
-      tree_cluster, q, Scatter(atoms, 8), planned, tree_rng);
-
-  Cluster ref_cluster(8, 9);
-  Rng ref_rng(12);
-  BinaryPlanOptions ref;
-  ref.skew_aware = planned.plan.skew_aware;
-  ref.order = planned.plan.join_order;
-  const BinaryPlanResult expected =
-      IterativeBinaryJoin(ref_cluster, q, Scatter(atoms, 8), ref_rng, ref);
-
-  ASSERT_EQ(via_tree.num_servers(), expected.output.num_servers());
-  for (int s = 0; s < via_tree.num_servers(); ++s) {
-    const Relation& got = via_tree.fragment(s);
-    const Relation& want = expected.output.fragment(s);
-    ASSERT_EQ(got.size(), want.size()) << "server " << s;
-    for (int64_t i = 0; i < got.size(); ++i) {
-      for (int c = 0; c < got.arity(); ++c) {
-        ASSERT_EQ(got.at(i, c), want.at(i, c))
-            << "server " << s << " row " << i << " col " << c;
-      }
-    }
-  }
-  // And the metered cost reports agree round for round.
-  EXPECT_EQ(tree_cluster.cost_report().num_rounds(),
-            ref_cluster.cost_report().num_rounds());
-}
-
 TEST(PlannerTest, CalibrationProducesUsableCoefficients) {
   const CostCoefficients c = CalibrateCostModel(4, 1);
   EXPECT_TRUE(c.calibrated);
@@ -271,20 +227,62 @@ TEST(PlannerTest, UncalibratedPricingMatchesLegacyLambdaFormula) {
   EXPECT_DOUBLE_EQ(PriceCandidate(1000, 2, q, options), 1000 + 2 * 250.0);
 }
 
-TEST(PlannerTest, PlanQueryMatchesChoosePlanWhenEnumerationIsOff) {
-  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  Rng rng(19);
+TEST(PlannerTest, AlgorithmNamesRoundTrip) {
+  for (const PlanAlgorithm family :
+       {PlanAlgorithm::kHyperCube, PlanAlgorithm::kSkewHc,
+        PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kGym,
+        PlanAlgorithm::kBigJoin}) {
+    const auto parsed = ParsePlanAlgorithm(PlanAlgorithmName(family));
+    ASSERT_TRUE(parsed.ok()) << PlanAlgorithmName(family);
+    EXPECT_EQ(*parsed, family);
+  }
+  EXPECT_EQ(*ParsePlanAlgorithm("skewhc"), PlanAlgorithm::kSkewHc);
+  EXPECT_EQ(*ParsePlanAlgorithm("binary"), PlanAlgorithm::kBinaryPlan);
+  EXPECT_EQ(*ParsePlanAlgorithm("auto"), std::nullopt);
+  EXPECT_EQ(*ParsePlanAlgorithm("planner"), std::nullopt);
+  EXPECT_EQ(ParsePlanAlgorithm("nope").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PlanAlgorithmChoices(),
+            "hypercube|skewhc|binary|gym|bigjoin|auto|planner");
+}
+
+TEST(PlannerTest, ForcedPlansSkipStatisticsAndRunTheNamedFamily) {
+  const ConjunctiveQuery triangle = ConjunctiveQuery::Triangle();
+  const auto binary = ForcedPlan(triangle, PlanAlgorithm::kBinaryPlan);
+  ASSERT_TRUE(binary.ok());
+  EXPECT_TRUE(binary->forced);
+  EXPECT_EQ(binary->plan.join_order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(binary->plan.skew_aware);
+  EXPECT_EQ(binary->plan.tree.ToString(triangle),
+            BuildJoinOrderTree(triangle, {0, 1, 2}, true, {})
+                .ToString(triangle));
+  EXPECT_EQ(ForcedPlan(triangle, PlanAlgorithm::kGym).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const ConjunctiveQuery path = ConjunctiveQuery::Path(3);
+  Rng data_rng(19);
   std::vector<Relation> atoms;
   for (int j = 0; j < 3; ++j) {
-    atoms.push_back(GenerateUniform(rng, 600, 2, 40));
+    atoms.push_back(Dedup(GenerateUniform(data_rng, 200, 2, 25)));
   }
-  PlannerOptions options;
-  options.enumerate_join_orders = false;
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 16), 16, options);
-  const PlannedQuery planned =
-      PlanQuery(q, Scatter(atoms, 16), 16, options, nullptr);
-  EXPECT_EQ(planned.plan.family, choice.chosen.algorithm);
-  EXPECT_EQ(planned.dp_states, 0);
+  const Relation expected = EvalJoinLocal(path, atoms);
+  for (const PlanAlgorithm family :
+       {PlanAlgorithm::kHyperCube, PlanAlgorithm::kSkewHc,
+        PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kGym,
+        PlanAlgorithm::kBigJoin}) {
+    const auto forced = ForcedPlan(path, family);
+    ASSERT_TRUE(forced.ok()) << PlanAlgorithmName(family);
+    EXPECT_EQ(forced->plan.family, family);
+    Cluster cluster(8, 5);
+    Rng rng(6);
+    const DistRelation out =
+        ExecutePlannedQuery(cluster, path, Scatter(atoms, 8), *forced, rng);
+    EXPECT_TRUE(MultisetEqual(out.Collect(), expected))
+        << PlanAlgorithmName(family);
+    // Nothing was planned, so nothing is recorded as planning.
+    EXPECT_EQ(cluster.metrics().plan_cache_misses(), 0);
+    EXPECT_EQ(cluster.metrics().plan_cache_hits(), 0);
+  }
 }
 
 TEST(PlannerTest, RationalesAndNamesPopulated) {
@@ -294,7 +292,7 @@ TEST(PlannerTest, RationalesAndNamesPopulated) {
   for (int j = 0; j < 3; ++j) {
     atoms.push_back(GenerateUniform(rng, 100, 2, 20));
   }
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 4), 4);
+  const PlannedQuery choice = PlanQuery(q, Scatter(atoms, 4), 4);
   EXPECT_EQ(choice.candidates.size(), 5u);
   for (const CandidatePlan& plan : choice.candidates) {
     EXPECT_FALSE(plan.rationale.empty());

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "serve/catalog.h"
 #include "serve/load_driver.h"
 #include "serve/query_server.h"
+#include "serve/request_runner.h"
 #include "serve/result_cache.h"
 #include "workload/generator.h"
 
@@ -82,35 +84,40 @@ TEST(ResultCacheTest, LruEvictsOldest) {
 
 TEST(AdmissionTest, BoundsInflightAndRejectsOverflow) {
   AdmissionController admission(/*max_inflight=*/1, /*max_queued=*/0);
-  ASSERT_TRUE(admission.Admit(100).ok());
-  // Slot taken, queue empty: the next request is rejected immediately.
-  const Status rejected = admission.Admit(100);
-  EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  admission.Release(100);
+  {
+    const auto granted = admission.Admit(100);
+    ASSERT_TRUE(granted.ok());
+    // Slot taken, queue empty: the next request is rejected immediately.
+    const auto rejected = admission.Admit(100);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
+  }  // The grant goes out of scope and releases the slot.
   EXPECT_TRUE(admission.Admit(100).ok());
-  admission.Release(100);
   const AdmissionController::Counters counters = admission.counters();
   EXPECT_EQ(counters.admitted, 2);
   EXPECT_EQ(counters.rejected_overload, 1);
   EXPECT_EQ(counters.inflight, 0);
+  EXPECT_EQ(counters.inflight_bytes, 0);
   EXPECT_EQ(counters.peak_inflight, 1);
 }
 
 TEST(AdmissionTest, QueuedRequestProceedsAfterRelease) {
   AdmissionController admission(/*max_inflight=*/1, /*max_queued=*/4);
-  ASSERT_TRUE(admission.Admit(1).ok());
+  std::optional<StatusOr<AdmissionController::Grant>> first =
+      admission.Admit(1);
+  ASSERT_TRUE(first->ok());
   std::atomic<bool> second_admitted{false};
   std::thread waiter([&] {
-    ASSERT_TRUE(admission.Admit(1).ok());
+    const auto second = admission.Admit(1);
+    ASSERT_TRUE(second.ok());
     second_admitted = true;
-    admission.Release(1);
   });
   // The waiter must be blocked, not rejected.
   EXPECT_FALSE(second_admitted.load());
-  admission.Release(1);
+  first.reset();  // Releases the slot.
   waiter.join();
   EXPECT_TRUE(second_admitted.load());
   EXPECT_EQ(admission.counters().rejected_overload, 0);
+  EXPECT_EQ(admission.counters().inflight, 0);
 }
 
 // --- QueryServer ---
@@ -217,6 +224,38 @@ TEST(QueryServerTest, ConcurrentIdenticalQueriesExecuteOnce) {
             kClients - 1);
 }
 
+// Regression for the cache/in-flight handoff. A leader inserts its answer
+// into the result cache and then erases its in-flight entry; a client that
+// missed the cache just before the insert and looked for an in-flight
+// entry just after the erase used to become a second leader. Epochs of
+// fresh data with many closed-loop clients (bench_serving's pattern) keep
+// clients arriving inside that window; every query must still execute
+// exactly once per epoch.
+TEST(QueryServerTest, EpochsExecuteEachQueryOncePerEpoch) {
+  const std::vector<std::string> queries = {
+      "R(x,y), S(y,z)", "S(x,y), T(y,z)", "R(x,y), T(y,z)",
+      "R(a,b), S(b,c)"};
+  constexpr int kEpochs = 4;
+  constexpr int kClients = 16;
+  Catalog catalog;
+  ServeOptions options = TestOptions();
+  options.max_inflight = 4;
+  QueryServer server(&catalog, options);
+
+  LoadOptions load;
+  load.clients = kClients;
+  load.requests = int64_t{kClients} * 2 * static_cast<int64_t>(queries.size());
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    for (const char* name : {"R", "S", "T"}) {
+      catalog.Register(name, SmallRelation(1000 + 10 * epoch + name[0]));
+    }
+    const LoadReport report = RunLoad(server, queries, load);
+    EXPECT_EQ(report.errors, 0) << "epoch " << epoch;
+  }
+  EXPECT_EQ(server.counters().executed,
+            kEpochs * static_cast<int64_t>(queries.size()));
+}
+
 TEST(QueryServerTest, ServedAnswerIsBitIdenticalToSoloRun) {
   const Relation r = SmallRelation(29);
   const Relation s = SmallRelation(31);
@@ -280,6 +319,93 @@ TEST(QueryServerTest, MemoryBudgetRejectsBigQueries) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(server.counters().rejected_memory, 1);
   EXPECT_EQ(server.counters().executed, 0);
+}
+
+// Requests that fail before execution — an unknown algorithm, a family
+// that cannot run the query, a memory-budget rejection — never hold an
+// admission slot, and the server keeps serving afterwards.
+TEST(QueryServerTest, ErrorsBeforeExecutionHoldNoAdmissionSlot) {
+  Catalog catalog;
+  catalog.Register("R", SmallRelation(61));
+  catalog.Register("S", SmallRelation(67));
+  catalog.Register("T", SmallRelation(71));
+  const std::string triangle = "R(x,y), S(y,z), T(z,x)";
+
+  ServeOptions options = TestOptions();
+  options.algorithm = "nope";
+  QueryServer unknown(&catalog, options);
+  EXPECT_EQ(unknown.Execute(triangle).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.admission().counters().inflight, 0);
+  EXPECT_EQ(unknown.admission().counters().admitted, 0);
+
+  options.algorithm = "gym";
+  QueryServer gym(&catalog, options);
+  EXPECT_EQ(gym.Execute(triangle).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gym.admission().counters().inflight, 0);
+  EXPECT_EQ(gym.admission().counters().admitted, 0);
+  ASSERT_TRUE(gym.Execute("R(x,y), S(y,z)").ok());
+  EXPECT_EQ(gym.admission().counters().inflight, 0);
+  EXPECT_EQ(gym.admission().counters().admitted, 1);
+
+  options.algorithm = "auto";
+  options.mem_budget_bytes = 1024;
+  QueryServer tight(&catalog, options);
+  EXPECT_EQ(tight.Execute(triangle).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(tight.admission().counters().inflight, 0);
+  EXPECT_EQ(tight.admission().counters().admitted, 0);
+}
+
+// Every algorithm name, served, answers exactly what the request runner
+// answers when called directly with the same options: same output rows in
+// the same order, same metered rounds, same planning counts.
+TEST(QueryServerTest, ServedMatchesRunnerForEveryAlgorithm) {
+  const auto q = ConjunctiveQuery::Parse("R(x,y), S(y,z), T(z,w)");
+  ASSERT_TRUE(q.ok());
+  // Duplicate-free inputs: BigJoin uses set semantics.
+  const std::vector<Relation> inputs = {Dedup(SmallRelation(73)),
+                                        Dedup(SmallRelation(79)),
+                                        Dedup(SmallRelation(83))};
+  Catalog catalog;
+  catalog.Register("R", inputs[0]);
+  catalog.Register("S", inputs[1]);
+  catalog.Register("T", inputs[2]);
+  for (const char* name :
+       {"hypercube", "skewhc", "binary", "gym", "bigjoin", "auto",
+        "planner"}) {
+    SCOPED_TRACE(name);
+    ServeOptions options = TestOptions();
+    options.algorithm = name;
+    QueryServer server(&catalog, options);
+    const auto served = server.Execute(q->ToString());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+    const auto forced = ResolveAlgorithm(*q, name);
+    ASSERT_TRUE(forced.ok());
+    PlanCache cache;
+    const QueryRun direct = RunQuery(*q, inputs, *forced, options, &cache);
+    EXPECT_EQ(served->algorithm, direct.algorithm);
+    EXPECT_EQ(served->output, direct.output.Collect());
+    const StatsReport want = BuildStatsReport(*direct.cluster);
+    const StatsReport& got = served->stats;
+    EXPECT_EQ(got.num_rounds, want.num_rounds);
+    EXPECT_EQ(got.max_load_tuples, want.max_load_tuples);
+    EXPECT_EQ(got.max_load_values, want.max_load_values);
+    EXPECT_EQ(got.total_comm_tuples, want.total_comm_tuples);
+    EXPECT_EQ(got.total_bytes, want.total_bytes);
+    EXPECT_EQ(got.plan_cache_hits, want.plan_cache_hits);
+    EXPECT_EQ(got.plan_cache_misses, want.plan_cache_misses);
+    ASSERT_EQ(got.rounds.size(), want.rounds.size());
+    for (size_t r = 0; r < got.rounds.size(); ++r) {
+      EXPECT_EQ(got.rounds[r].label, want.rounds[r].label);
+      EXPECT_EQ(got.rounds[r].max_tuples_received,
+                want.rounds[r].max_tuples_received);
+      EXPECT_EQ(got.rounds[r].total_values_received,
+                want.rounds[r].total_values_received);
+    }
+  }
 }
 
 TEST(QueryServerTest, EstimateCountsInputsAndOutput) {

@@ -25,25 +25,21 @@
 #include <string>
 #include <vector>
 
-#include "acyclic/gym.h"
 #include "agg/aggregate.h"
 #include "common/flags.h"
 #include "common/parse.h"
 #include "common/simd.h"
 #include "common/trace.h"
-#include "join/hash_join.h"
 #include "mpc/cluster.h"
 #include "mpc/metrics.h"
-#include "multiway/binary_plan.h"
-#include "multiway/hypercube.h"
-#include "multiway/skew_hc.h"
+#include "multiway/join_order.h"
+#include "multiway/shares.h"
 #include "planner/calibration.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
 #include "query/ghd.h"
 #include "query/hypergraph_lp.h"
 #include "query/local_eval.h"
-#include "multiway/join_order.h"
 #include "query/lower_bounds.h"
 #include "query/query.h"
 #include "relation/csv.h"
@@ -51,6 +47,7 @@
 #include "serve/catalog.h"
 #include "serve/load_driver.h"
 #include "serve/query_server.h"
+#include "serve/request_runner.h"
 #include "workload/generator.h"
 
 namespace mpcqp {
@@ -103,8 +100,7 @@ FlagSet BuildFlags(Options* options) {
   flags.String("layout", &options->layout,
                "physical layout for hot kernels, row|columnar|auto "
                "(never changes results)");
-  flags.String("algorithm", &options->algorithm,
-               "hypercube|skewhc|binary|gym|auto|planner");
+  flags.String("algorithm", &options->algorithm, PlanAlgorithmChoices());
   flags.KeyValue("gen", &options->generators,
                  "generator spec per atom, NAME=uniform:rows:domain | "
                  "zipf:rows:domain:skew | degree:rows:deg | "
@@ -155,6 +151,25 @@ FlagSet BuildFlags(Options* options) {
   std::fprintf(stderr, "usage: %s --query Q [flags]\n%s", argv0,
                flags.Help().c_str());
   std::exit(2);
+}
+
+// The request configuration both modes run with (--layout and
+// --algorithm were checked in main).
+ServeOptions ToServeOptions(const Options& options) {
+  ServeOptions serve;
+  serve.num_servers = options.servers;
+  serve.num_threads = options.threads;
+  serve.morsel_rows = options.morsel_rows;
+  ParseLayoutMode(options.layout, &serve.layout);
+  serve.algorithm = options.algorithm;
+  serve.seed = options.seed;
+  serve.round_cost = options.round_cost;
+  serve.max_inflight = options.max_inflight;
+  serve.max_queued = options.max_queued;
+  serve.mem_budget_bytes = options.mem_budget_mb * (int64_t{1} << 20);
+  serve.enable_result_cache = options.result_cache;
+  serve.enable_plan_cache = options.plan_cache;
+  return serve;
 }
 
 std::vector<std::string> SplitCommas(const std::string& s) {
@@ -248,6 +263,29 @@ StatusOr<Relation> Generate(const std::string& spec, int arity, Rng& rng) {
   return InvalidArgumentError("bad generator spec: " + spec);
 }
 
+// One atom's data: its --input CSV, else its --gen spec, else (when
+// `allow_missing`, for --analyze) an empty relation.
+StatusOr<Relation> AtomData(const Options& options, const Atom& atom,
+                            bool allow_missing, Rng& rng) {
+  if (const auto it = options.inputs.find(atom.name);
+      it != options.inputs.end()) {
+    auto loaded = ReadCsvFile(it->second, atom.arity());
+    if (loaded.ok()) return loaded;
+    return InvalidArgumentError("input " + atom.name + ": " +
+                                loaded.status().ToString());
+  }
+  if (const auto it = options.generators.find(atom.name);
+      it != options.generators.end()) {
+    auto generated = Generate(it->second, atom.arity(), rng);
+    if (generated.ok()) return generated;
+    return InvalidArgumentError("gen " + atom.name + ": " +
+                                generated.status().ToString());
+  }
+  if (allow_missing) return Relation(atom.arity());
+  return InvalidArgumentError("no data for atom " + atom.name +
+                              " (use --gen or --input)");
+}
+
 int Run(const Options& options) {
   const auto query = ConjunctiveQuery::Parse(options.query_text);
   if (!query.ok()) {
@@ -256,6 +294,14 @@ int Run(const Options& options) {
     return 1;
   }
   const ConjunctiveQuery& q = *query;
+  // A family that cannot run this query (gym on a cyclic one) fails before
+  // any data is generated.
+  const auto forced = ResolveAlgorithm(q, options.algorithm);
+  if (!forced.ok()) {
+    std::fprintf(stderr, "--algorithm: %s\n",
+                 forced.status().ToString().c_str());
+    return 1;
+  }
   std::printf("query: %s\n", q.ToString().c_str());
 
   // --- Analysis ---
@@ -274,31 +320,12 @@ int Run(const Options& options) {
   std::vector<int64_t> sizes;
   for (int j = 0; j < q.num_atoms(); ++j) {
     const Atom& atom = q.atom(j);
-    Relation rel(atom.arity());
-    if (const auto it = options.inputs.find(atom.name);
-        it != options.inputs.end()) {
-      auto loaded = ReadCsvFile(it->second, atom.arity());
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "input %s: %s\n", atom.name.c_str(),
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      rel = std::move(loaded).value();
-    } else if (const auto git = options.generators.find(atom.name);
-               git != options.generators.end()) {
-      auto generated = Generate(git->second, atom.arity(), rng);
-      if (!generated.ok()) {
-        std::fprintf(stderr, "gen %s: %s\n", atom.name.c_str(),
-                     generated.status().ToString().c_str());
-        return 1;
-      }
-      rel = std::move(generated).value();
-    } else if (!options.analyze_only) {
-      std::fprintf(stderr,
-                   "no data for atom %s (use --gen or --input)\n",
-                   atom.name.c_str());
+    auto data = AtomData(options, atom, options.analyze_only, rng);
+    if (!data.ok()) {
+      std::fprintf(stderr, "%s\n", data.status().message().c_str());
       return 1;
     }
+    Relation rel = std::move(data).value();
     std::printf("  %s: %lld tuples\n", atom.name.c_str(),
                 static_cast<long long>(rel.size()));
     sizes.push_back(rel.size());
@@ -348,37 +375,18 @@ int Run(const Options& options) {
 
   // --- Execution ---
   if (!options.trace_path.empty()) Tracer::Get().Enable();
-  ClusterOptions cluster_options;
-  cluster_options.num_threads = options.threads;
-  cluster_options.morsel_rows = options.morsel_rows;
-  if (!ParseLayoutMode(options.layout, &cluster_options.layout)) {
-    std::fprintf(stderr, "--layout must be row|columnar|auto, got \"%s\"\n",
-                 options.layout.c_str());
-    return 2;
+  CostCoefficients cost;
+  if (options.calibrate && !forced->has_value()) {
+    cost = CalibrateCostModel(options.servers, options.threads);
+    std::printf("calibrated cost model: %s\n", cost.ToString().c_str());
   }
-  Cluster cluster(options.servers, options.seed + 1, cluster_options);
-  std::vector<DistRelation> dist;
-  for (const Relation& r : atoms) {
-    dist.push_back(
-        DistRelation::Scatter(r, options.servers, &cluster.pool()));
-  }
-  Rng algo_rng(options.seed + 2);
-
-  std::string algorithm = options.algorithm;
-  DistRelation output(q.num_vars(), options.servers);
-  if (algorithm == "auto" || algorithm == "planner") {
-    PlannerOptions planner_options;
-    planner_options.round_cost_tuples = options.round_cost;
-    if (options.calibrate) {
-      planner_options.cost =
-          CalibrateCostModel(options.servers, options.threads);
-      std::printf("calibrated cost model: %s\n",
-                  planner_options.cost.ToString().c_str());
-    }
-    PlanCache cache;
-    const PlannedQuery planned =
-        PlanQuery(q, dist, options.servers, planner_options,
-                  options.plan_cache ? &cache : nullptr);
+  PlanCache cache;
+  QueryRun run =
+      RunQuery(q, atoms, *forced, ToServeOptions(options), &cache, cost);
+  Cluster& cluster = *run.cluster;
+  DistRelation& output = run.output;
+  if (!forced->has_value()) {
+    const PlannedQuery& planned = run.planned;
     std::printf("planner candidates:\n");
     for (const CandidatePlan& plan : planned.candidates) {
       std::printf("  %-12s %s est L=%.0f r=%d cost=%.0f  (%s)\n",
@@ -392,28 +400,6 @@ int Run(const Options& options) {
                 planned.cache_hit ? "plan cache hit" : "planned",
                 static_cast<long long>(planned.dp_states));
     std::printf("plan tree:\n%s", planned.plan.tree.ToString(q).c_str());
-    output = ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
-    algorithm = PlanAlgorithmName(planned.plan.family);
-  } else if (algorithm == "hypercube") {
-    output = HyperCubeJoin(cluster, q, dist).output;
-  } else if (algorithm == "skewhc") {
-    output = SkewHcJoin(cluster, q, dist).output;
-  } else if (algorithm == "binary") {
-    BinaryPlanOptions plan;
-    plan.skew_aware = true;
-    output = IterativeBinaryJoin(cluster, q, dist, algo_rng, plan).output;
-  } else if (algorithm == "gym") {
-    const auto tree = BuildJoinTree(q);
-    if (!tree.ok()) {
-      std::fprintf(stderr, "gym: %s\n", tree.status().ToString().c_str());
-      return 1;
-    }
-    GymOptions gym;
-    gym.optimized = true;
-    output = GymJoin(cluster, q, *tree, dist, algo_rng, gym).output;
-  } else {
-    std::fprintf(stderr, "unknown algorithm: %s\n", algorithm.c_str());
-    return 1;
   }
 
   // --agg runs the distributed group-by engine over the join output (with
@@ -480,7 +466,7 @@ int Run(const Options& options) {
   }
 
   std::printf("\nalgorithm: %s\noutput: %lld tuples\n%s\n",
-              algorithm.c_str(),
+              run.algorithm.c_str(),
               static_cast<long long>(output.TotalSize()),
               cluster.cost_report().ToString().c_str());
 
@@ -577,54 +563,19 @@ int RunServe(const Options& options) {
       const Atom& atom = query->atom(j);
       Catalog::Entry existing;
       if (catalog.Find(atom.name, &existing)) continue;
-      Relation rel(atom.arity());
-      if (const auto it = options.inputs.find(atom.name);
-          it != options.inputs.end()) {
-        auto loaded = ReadCsvFile(it->second, atom.arity());
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "input %s: %s\n", atom.name.c_str(),
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        rel = std::move(loaded).value();
-      } else if (const auto git = options.generators.find(atom.name);
-                 git != options.generators.end()) {
-        auto generated = Generate(git->second, atom.arity(), rng);
-        if (!generated.ok()) {
-          std::fprintf(stderr, "gen %s: %s\n", atom.name.c_str(),
-                       generated.status().ToString().c_str());
-          return 1;
-        }
-        rel = std::move(generated).value();
-      } else {
-        std::fprintf(stderr, "no data for atom %s (use --gen or --input)\n",
-                     atom.name.c_str());
+      auto data = AtomData(options, atom, /*allow_missing=*/false, rng);
+      if (!data.ok()) {
+        std::fprintf(stderr, "%s\n", data.status().message().c_str());
         return 1;
       }
+      Relation rel = std::move(data).value();
       std::printf("  %s: %lld tuples\n", atom.name.c_str(),
                   static_cast<long long>(rel.size()));
       catalog.Register(atom.name, std::move(rel));
     }
   }
 
-  ServeOptions serve;
-  serve.num_servers = options.servers;
-  serve.num_threads = options.threads;
-  serve.morsel_rows = options.morsel_rows;
-  if (!ParseLayoutMode(options.layout, &serve.layout)) {
-    std::fprintf(stderr, "--layout must be row|columnar|auto, got \"%s\"\n",
-                 options.layout.c_str());
-    return 2;
-  }
-  serve.algorithm = options.algorithm;
-  serve.seed = options.seed;
-  serve.round_cost = options.round_cost;
-  serve.max_inflight = options.max_inflight;
-  serve.max_queued = options.max_queued;
-  serve.mem_budget_bytes = options.mem_budget_mb * (int64_t{1} << 20);
-  serve.enable_result_cache = options.result_cache;
-  serve.enable_plan_cache = options.plan_cache;
-  QueryServer server(&catalog, serve);
+  QueryServer server(&catalog, ToServeOptions(options));
 
   LoadOptions load;
   load.clients = options.clients;
@@ -673,6 +624,18 @@ int main(int argc, char** argv) {
   const mpcqp::FlagSet flags = mpcqp::BuildFlags(&options);
   if (const mpcqp::Status parsed = flags.Parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    mpcqp::Usage(argv[0], flags);
+  }
+  if (const auto family = mpcqp::ParsePlanAlgorithm(options.algorithm);
+      !family.ok()) {
+    std::fprintf(stderr, "--algorithm: %s\n",
+                 family.status().message().c_str());
+    mpcqp::Usage(argv[0], flags);
+  }
+  if (mpcqp::LayoutMode layout;
+      !mpcqp::ParseLayoutMode(options.layout, &layout)) {
+    std::fprintf(stderr, "--layout must be row|columnar|auto, got \"%s\"\n",
+                 options.layout.c_str());
     mpcqp::Usage(argv[0], flags);
   }
   if (!options.serve_spec.empty()) {
