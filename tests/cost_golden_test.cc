@@ -26,6 +26,7 @@
 #include "mpc/cost.h"
 #include "mpc/dist_relation.h"
 #include "join/stats.h"
+#include "multiway/bigjoin.h"
 #include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
 #include "query/ghd.h"
@@ -176,6 +177,94 @@ TEST(CostGoldenTest, BinaryPlan) {
   EXPECT_EQ(result.intermediate_sizes,
             (std::vector<int64_t>{15497, 61946, 247784}));
   EXPECT_EQ(h, 0x846332191ddbd935ULL);
+}
+
+// ---------- BiGJoin triangles ----------
+
+// FNV-1a over a distributed output, fragment by fragment in server order:
+// each fragment's size, then its rows column by column.
+uint64_t FragmentsChecksum(const DistRelation& output) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int s = 0; s < output.num_servers(); ++s) {
+    const Relation& fragment = output.fragment(s);
+    h = Fnv1a(h, fragment.size());
+    for (int64_t i = 0; i < fragment.size(); ++i) {
+      for (int c = 0; c < fragment.arity(); ++c) {
+        h = Fnv1a(h, static_cast<int64_t>(fragment.at(i, c)));
+      }
+    }
+  }
+  return h;
+}
+
+const GoldenRound kBigJoinGraphTriangle[] = {
+    {"bigjoin: seed x", 65, 1392, 0x3d1147be83796231ULL},
+    {"distributed semijoin", 76, 1547, 0xb55a97ea44c05539ULL},
+    {"bigjoin: count y", 62, 1650, 0x6facce093d621f73ULL},
+    {"bigjoin: argmin y", 12, 300, 0xef460bf3e3ae679fULL},
+    {"bigjoin: extend y", 84, 1650, 0xbec249d95710a405ULL},
+    {"distributed semijoin", 72, 3000, 0xa431f9a1e311d1d3ULL},
+    {"distributed semijoin", 95, 2886, 0xdf1b5b75712cdb33ULL},
+    {"bigjoin: count z", 201, 6000, 0xf75cc0c1e0b99959ULL},
+    {"bigjoin: argmin z", 108, 4500, 0xf280f8a1fa6905d9ULL},
+    {"bigjoin: extend z", 167, 4500, 0xa445469b7bc3ecd1ULL},
+    {"distributed semijoin", 346, 14009, 0xd78cade57c5301b3ULL},
+    {"distributed semijoin", 160, 8219, 0x345bab687df2a75bULL},
+};
+
+const GoldenRound kBigJoinZipfTriangle[] = {
+    {"bigjoin: seed x", 67, 868, 0x900de75835333b69ULL},
+    {"distributed semijoin", 75, 1477, 0x15c396ef753c4769ULL},
+    {"bigjoin: count y", 399, 1597, 0x748009f03e1cab17ULL},
+    {"bigjoin: argmin y", 12, 224, 0x700709a6bbc2368fULL},
+    {"bigjoin: extend y", 1378, 56956, 0xa43b2ce7bf806fc7ULL},
+    {"distributed semijoin", 73, 2492, 0xe386d7d6d8ed9329ULL},
+    {"distributed semijoin", 113, 1866, 0xdae4b6a3487997bfULL},
+    {"bigjoin: count z", 438, 4850, 0x8729607f48be7449ULL},
+    {"bigjoin: argmin z", 69, 2820, 0xd1ae43f9d742ca2dULL},
+    {"bigjoin: extend z", 427, 3910, 0xef833504d5f48329ULL},
+    {"distributed semijoin", 139, 5300, 0x55ddcd1c6d86d905ULL},
+    {"distributed semijoin", 95, 3898, 0xab6492417d922c83ULL},
+};
+
+// The triangle under BiGJoin at p=64, on three random graphs and on three
+// Zipf-skewed relations (heavy values in every atom's first column).
+// Pins every round's loads, the round count, and the output fragments bit
+// for bit — the whole observable result of the multi-round driver.
+TEST(CostGoldenTest, BigJoinTriangle) {
+  constexpr int kBigJoinServers = 64;
+  const auto q = ConjunctiveQuery::Parse("R(x,y), S(y,z), T(z,x)");
+  ASSERT_TRUE(q.ok());
+  {
+    Rng rng(61);
+    std::vector<DistRelation> atoms;
+    for (int j = 0; j < 3; ++j) {
+      atoms.push_back(DistRelation::Scatter(
+          GenerateRandomGraph(rng, 150, 1500), kBigJoinServers));
+    }
+    Cluster cluster(kBigJoinServers, kSeed);
+    const BigJoinResult result = BigJoin(cluster, *q, atoms);
+    ExpectMatchesGolden("BigJoinGraphTriangle", cluster.cost_report(),
+                        kBigJoinGraphTriangle);
+    EXPECT_EQ(result.rounds, 12);
+    EXPECT_EQ(result.output.TotalSize(), 1052);
+    EXPECT_EQ(FragmentsChecksum(result.output), 0xef4969136851ea1bULL);
+  }
+  {
+    Rng rng(62);
+    std::vector<DistRelation> atoms;
+    for (int j = 0; j < 3; ++j) {
+      atoms.push_back(DistRelation::Scatter(
+          GenerateZipf(rng, 1500, 2, 120, 0, 1.2), kBigJoinServers));
+    }
+    Cluster cluster(kBigJoinServers, kSeed);
+    const BigJoinResult result = BigJoin(cluster, *q, atoms);
+    ExpectMatchesGolden("BigJoinZipfTriangle", cluster.cost_report(),
+                        kBigJoinZipfTriangle);
+    EXPECT_EQ(result.rounds, 12);
+    EXPECT_EQ(result.output.TotalSize(), 463);
+    EXPECT_EQ(FragmentsChecksum(result.output), 0xf57e1f5edd219097ULL);
+  }
 }
 
 // ---------- HyperCube triangle ----------
