@@ -1,7 +1,8 @@
-// Local-compute kernel throughput: the flat arena KeyIndex and the
-// parallel sort kernel against embedded "legacy" baselines — the seed
-// node-based unordered_map index and the serial std::sort row sorter.
-// Both baselines are kept here verbatim (not in src/) so the speedup of
+// Local-compute kernel throughput: the flat arena KeyIndex, the parallel
+// sort kernel and Dedup against embedded "legacy" baselines — the seed
+// node-based unordered_map index, the serial std::sort row sorter, and
+// the index-permutation Dedup that preceded the fixed-width row sort.
+// The baselines are kept here verbatim (not in src/) so the speedup of
 // the kernel overhaul stays measurable release over release, exactly like
 // bench_exchange does for the data plane.
 //
@@ -9,7 +10,8 @@
 // 64-server experiments after a shuffle. Emits BENCH_local_ops.json with
 // <kernel>_t<T>_{new,legacy}_tps and _speedup keys; CI runs this binary
 // as a Release smoke test and fails if the flat KeyIndex loses to the
-// legacy index at 8 threads.
+// legacy index at 8 threads, or if Dedup loses to the legacy Dedup at 1 or
+// 8 threads on unsorted or already-sorted input.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "relation/key_index.h"
 #include "relation/relation.h"
+#include "relation/relation_ops.h"
 #include "relation/relation_view.h"
 #include "workload/generator.h"
 
@@ -132,6 +135,47 @@ void LegacySortRows(int arity, std::vector<Value>& data,
   data = std::move(sorted);
 }
 
+// The index-permutation Dedup, verbatim: sort row indices through the
+// view's checked row accessor, then append each first-of-a-run row.
+std::vector<int64_t> LegacySortedOrder(RelationView rel,
+                                       const std::vector<int>& key_cols,
+                                       ThreadPool* pool = nullptr) {
+  std::vector<int64_t> order(rel.size());
+  std::iota(order.begin(), order.end(), 0);
+  const int arity = rel.arity();
+  ParallelSort(pool, order, [&](int64_t a, int64_t b) {
+    const Value* ra = rel.row(a);
+    const Value* rb = rel.row(b);
+    for (int c : key_cols) {
+      if (ra[c] != rb[c]) return ra[c] < rb[c];
+    }
+    for (int c = 0; c < arity; ++c) {
+      if (ra[c] != rb[c]) return ra[c] < rb[c];
+    }
+    return false;
+  });
+  return order;
+}
+
+Relation LegacyDedup(RelationView rel, ThreadPool* pool) {
+  if (rel.arity() == 0) {
+    Relation out(0);
+    if (rel.size() > 0) out.AppendNullaryRow();
+    return out;
+  }
+  const std::vector<int64_t> order = LegacySortedOrder(rel, {}, pool);
+  Relation out(rel.arity());
+  out.Reserve(rel.size());
+  const Value* prev = nullptr;
+  for (int64_t i : order) {
+    const Value* cur = rel.row(i);
+    if (prev != nullptr && std::equal(cur, cur + rel.arity(), prev)) continue;
+    out.AppendRow(cur);
+    prev = cur;
+  }
+  return out;
+}
+
 // Build + full probe pass through the flat index; returns the probe
 // checksum (sum of group sizes) so the work cannot be optimized away.
 int64_t RunNewKeyIndex(const Relation& build, const Relation& probe,
@@ -187,6 +231,11 @@ int main() {
   const Relation build = GenerateUniform(rng, kRows, 2, kRows / 4);
   const Relation probe = GenerateUniform(rng, kRows, 2, (kRows / 4) * 3 / 2);
   const Relation unsorted = GenerateUniform(rng, kRows, 2, 1u << 31);
+  // Dedup inputs: arity-2 rows of which about one in six repeats an
+  // earlier row, and their sorted distinct rows (the shape of a BiGJoin
+  // proposer projection, which Dedup returns as a shared handle).
+  const Relation with_duplicates = GenerateUniform(rng, kRows, 2, 1000);
+  const Relation sorted_distinct = LegacyDedup(with_duplicates, nullptr);
 
   // Sanity: the flat index and the legacy index must agree on the probe
   // checksum and the distinct-key count before any timing matters.
@@ -218,8 +267,16 @@ int main() {
       return 1;
     }
   }
+  for (const Relation* input : {&with_duplicates, &sorted_distinct}) {
+    ThreadPool pool(8);
+    if (!(Dedup(*input, &pool) == LegacyDedup(*input, &pool))) {
+      std::fprintf(stderr, "FATAL: Dedup new/legacy outputs differ\n");
+      return 1;
+    }
+  }
 
   double key_index_speedup_t8 = 0;
+  double dedup_worst_speedup = -1;
   for (const int threads : kThreads) {
     ThreadPool pool(threads);
 
@@ -260,6 +317,32 @@ int main() {
     json.Set(skey + "_new_tps", sort_new_tps);
     json.Set(skey + "_legacy_tps", sort_legacy_tps);
     json.Set(skey + "_speedup", sort_speedup);
+
+    // Dedup: one call per repetition, each materializing its output.
+    const std::pair<const char*, const Relation*> dedup_inputs[] = {
+        {"dedup_unsorted", &with_duplicates},
+        {"dedup_sorted", &sorted_distinct}};
+    for (const auto& [name, input] : dedup_inputs) {
+      const double dedup_new_tps = MeasureTps(kRows, kReps, [&] {
+        Dedup(*input, &pool);
+      });
+      const double dedup_legacy_tps = MeasureTps(kRows, kReps, [&] {
+        LegacyDedup(*input, &pool);
+      });
+      const double dedup_speedup = dedup_new_tps / dedup_legacy_tps;
+      if (dedup_worst_speedup < 0 || dedup_speedup < dedup_worst_speedup) {
+        dedup_worst_speedup = dedup_speedup;
+      }
+      table.AddRow({name, std::to_string(threads),
+                    bench::Fmt(dedup_new_tps / 1e6, 2) + "M",
+                    bench::Fmt(dedup_legacy_tps / 1e6, 2) + "M",
+                    bench::Fmt(dedup_speedup, 2) + "x"});
+      const std::string dkey =
+          std::string(name) + "_t" + std::to_string(threads);
+      json.Set(dkey + "_new_tps", dedup_new_tps);
+      json.Set(dkey + "_legacy_tps", dedup_legacy_tps);
+      json.Set(dkey + "_speedup", dedup_speedup);
+    }
   }
 
   table.Print();
@@ -272,6 +355,14 @@ int main() {
                  "FATAL: flat KeyIndex slower than legacy at 8 threads "
                  "(%.2fx)\n",
                  key_index_speedup_t8);
+    return 1;
+  }
+  // CI gate: Dedup must not lose to the index-permutation Dedup at any
+  // measured thread count, on either input.
+  if (dedup_worst_speedup < 1.0) {
+    std::fprintf(stderr,
+                 "FATAL: Dedup slower than the legacy Dedup (%.2fx)\n",
+                 dedup_worst_speedup);
     return 1;
   }
   return 0;

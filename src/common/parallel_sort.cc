@@ -1,15 +1,46 @@
 #include "common/parallel_sort.h"
 
+#include <array>
+#include <cstring>
 #include <numeric>
 
 namespace mpcqp {
 
-void SortRowsBuffer(ThreadPool* pool, int arity, std::vector<uint64_t>& data,
-                    const std::vector<int>& key_cols) {
-  const int64_t n = static_cast<int64_t>(data.size()) / arity;
-  if (n <= 1) return;
-  MPCQP_TRACE_SCOPE_ARG("sort_rows", "compute", n);
+namespace {
 
+// Width-K rows as values: the sort moves K-word rows directly, with no
+// index permutation to chase and no gather pass afterwards.
+template <int K>
+void SortFixedWidthRows(ThreadPool* pool, std::vector<uint64_t>& data,
+                        const std::vector<int>& key_cols) {
+  using Row = std::array<uint64_t, K>;
+  static_assert(sizeof(Row) == K * sizeof(uint64_t), "rows must be packed");
+  std::vector<Row> rows(data.size() / K);
+  std::memcpy(rows.data(), data.data(), data.size() * sizeof(uint64_t));
+  const auto all_columns = [](const Row& a, const Row& b) {
+    for (int c = 0; c < K; ++c) {
+      if (a[c] != b[c]) return a[c] < b[c];
+    }
+    return false;
+  };
+  if (key_cols.empty()) {
+    ParallelSort(pool, rows, all_columns);
+  } else {
+    ParallelSort(pool, rows, [&](const Row& a, const Row& b) {
+      for (int c : key_cols) {
+        if (a[c] != b[c]) return a[c] < b[c];
+      }
+      return all_columns(a, b);
+    });
+  }
+  std::memcpy(data.data(), rows.data(), data.size() * sizeof(uint64_t));
+}
+
+// Any width: sorts an index permutation, then gathers the rows.
+void SortRowsByPermutation(ThreadPool* pool, int arity,
+                           std::vector<uint64_t>& data,
+                           const std::vector<int>& key_cols) {
+  const int64_t n = static_cast<int64_t>(data.size()) / arity;
   std::vector<int64_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   const uint64_t* rows = data.data();
@@ -44,6 +75,27 @@ void SortRowsBuffer(ThreadPool* pool, int arity, std::vector<uint64_t>& data,
     gather(0, n);
   }
   data = std::move(sorted);
+}
+
+}  // namespace
+
+void SortRowsBuffer(ThreadPool* pool, int arity, std::vector<uint64_t>& data,
+                    const std::vector<int>& key_cols) {
+  const int64_t n = static_cast<int64_t>(data.size()) / arity;
+  if (n <= 1) return;
+  MPCQP_TRACE_SCOPE_ARG("sort_rows", "compute", n);
+  switch (arity) {
+    case 1:
+      return SortFixedWidthRows<1>(pool, data, key_cols);
+    case 2:
+      return SortFixedWidthRows<2>(pool, data, key_cols);
+    case 3:
+      return SortFixedWidthRows<3>(pool, data, key_cols);
+    case 4:
+      return SortFixedWidthRows<4>(pool, data, key_cols);
+    default:
+      return SortRowsByPermutation(pool, arity, data, key_cols);
+  }
 }
 
 }  // namespace mpcqp

@@ -95,8 +95,12 @@ void ParallelSort(ThreadPool* pool, std::vector<T>& items, Less less) {
 }
 
 // Sorts the flat row-major buffer of an arity-`arity` relation by
-// `key_cols` then all columns (the Relation::SortRowsBy comparator),
-// using the parallel kernel for both the permutation sort and the gather.
+// `key_cols` then all columns (the Relation::SortRowsBy comparator) — the
+// one row-sort kernel behind Relation::SortRows/SortRowsBy and Dedup.
+// Arities 1–4 sort the rows themselves as fixed-width values; wider rows
+// sort an index permutation and gather. Either way the parallel kernel
+// runs the sort, and since the comparator reads every column, tied rows
+// are byte-identical and the bytes are the same for every pool.
 void SortRowsBuffer(ThreadPool* pool, int arity, std::vector<uint64_t>& data,
                     const std::vector<int>& key_cols);
 

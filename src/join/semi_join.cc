@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "mpc/exchange.h"
+#include "mpc/metrics.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
@@ -40,6 +41,7 @@ DistRelation PartitionedFilter(Cluster& cluster, const DistRelation& left,
   cluster.EndRound();
 
   std::vector<Relation> outputs(p);
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
     outputs[s] =
         kind == FilterKind::kSemi
@@ -88,6 +90,7 @@ DistRelation BroadcastSemijoin(Cluster& cluster, const DistRelation& left,
     key_cols[i] = static_cast<int>(i);
   }
   std::vector<Relation> outputs(p);
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
     outputs[s] = SemijoinLocal(left.fragment(s), everywhere.fragment(s),
                                left_keys, key_cols);

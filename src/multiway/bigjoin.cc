@@ -1,7 +1,7 @@
 #include "multiway/bigjoin.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -63,19 +63,28 @@ std::vector<int> PositionsOf(const std::vector<int>& needles,
   return positions;
 }
 
-// Appends a globally-unique id column (local compute).
-DistRelation AppendIds(const DistRelation& rel) {
-  DistRelation out(rel.arity() + 1, rel.num_servers());
-  Value id = 0;
-  std::vector<Value> row(rel.arity() + 1);
-  for (int s = 0; s < rel.num_servers(); ++s) {
-    const Relation& frag = rel.fragment(s);
-    for (int64_t i = 0; i < frag.size(); ++i) {
-      std::copy(frag.row(i), frag.row(i) + rel.arity(), row.begin());
-      row[rel.arity()] = id++;
-      out.fragment(s).AppendRow(row.data());
-    }
+// Appends a globally-unique id column (local compute): row i of fragment
+// s gets id (rows of fragments 0..s-1) + i, so ids count up in server
+// order and every fragment is filled independently.
+DistRelation AppendIds(Cluster& cluster, const DistRelation& rel) {
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+  const int arity = rel.arity();
+  const int p = rel.num_servers();
+  std::vector<Value> first_id(static_cast<size_t>(p) + 1, 0);
+  for (int s = 0; s < p; ++s) {
+    first_id[s + 1] = first_id[s] + static_cast<Value>(rel.fragment(s).size());
   }
+  DistRelation out(arity + 1, p);
+  cluster.pool().ParallelFor(p, [&](int64_t s) {
+    const Relation& frag = rel.fragment(s);
+    if (frag.empty()) return;
+    const Value* src = frag.data().data();
+    Value* dst = out.fragment(s).ResizeRowsForOverwrite(frag.size());
+    for (int64_t i = 0; i < frag.size(); ++i, src += arity) {
+      dst = std::copy(src, src + arity, dst);
+      *dst++ = first_id[s] + static_cast<Value>(i);
+    }
+  });
   return out;
 }
 
@@ -110,10 +119,13 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
 
   std::vector<DistRelation> rels;
   std::vector<std::vector<int>> rel_vars;
-  for (int j = 0; j < q.num_atoms(); ++j) {
-    auto [rel, vars] = NormalizeAtom(cluster.pool(), q.atom(j), atoms[j]);
-    rels.push_back(std::move(rel));
-    rel_vars.push_back(std::move(vars));
+  {
+    ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+    for (int j = 0; j < q.num_atoms(); ++j) {
+      auto [rel, vars] = NormalizeAtom(cluster.pool(), q.atom(j), atoms[j]);
+      rels.push_back(std::move(rel));
+      rel_vars.push_back(std::move(vars));
+    }
   }
 
   DistRelation prefixes(0, p);
@@ -145,6 +157,7 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
       cols.push_back(PositionsOf({var}, rel_vars[j]).front());
       proposer.projection =
           DistRelation(static_cast<int>(cols.size()), p);
+      ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
       cluster.pool().ParallelFor(p, [&](int64_t s) {
         proposer.projection.fragment(s) =
             Dedup(Project(rels[j].fragment(s), cols));
@@ -175,8 +188,11 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
           HashPartition(cluster, proposers[best].projection, {0}, hash,
                         "bigjoin: seed " + q.var_name(var));
       DistRelation seeded(1, p);
-      for (int s = 0; s < p; ++s) {
-        seeded.fragment(s) = Dedup(parts.fragment(s));
+      {
+        ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+        cluster.pool().ParallelFor(p, [&](int64_t s) {
+          seeded.fragment(s) = Dedup(parts.fragment(s));
+        });
       }
       prefixes = std::move(seeded);
       bound.push_back(var);
@@ -192,7 +208,7 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     // ---- Count round: annotate each prefix with every proposer's
     // candidate count. Prefixes carry an id; all co-partitions share one
     // MPC round. ----
-    const DistRelation prefixes_with_id = AppendIds(prefixes);
+    const DistRelation prefixes_with_id = AppendIds(cluster, prefixes);
     const int id_col = prefixes_with_id.arity() - 1;
 
     struct CountParts {
@@ -228,19 +244,23 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
       ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
       cluster.pool().ParallelFor(p, [&](int64_t s) {
         MPCQP_TRACE_SCOPE_ARG("local count", "compute", s);
+        const Relation& pf = count_parts[i].prefix_parts.fragment(s);
+        if (pf.empty()) return;
         const Relation deduped = Dedup(count_parts[i].proj_parts.fragment(s));
         const KeyIndex index(deduped, proj_keys);
-        const Relation& pf = count_parts[i].prefix_parts.fragment(s);
+        const std::vector<int>& prefix_keys = proposers[i].prefix_keys;
+        std::vector<Value>& out = count_tuples.fragment(s).Mutable();
+        size_t at = out.size();
+        out.resize(at + 3 * static_cast<size_t>(pf.size()));
         std::vector<Value> key(proj_keys.size());
-        for (int64_t r = 0; r < pf.size(); ++r) {
-          for (size_t c = 0; c < proposers[i].prefix_keys.size(); ++c) {
-            key[c] = pf.at(r, proposers[i].prefix_keys[c]);
+        const Value* row = pf.data().data();
+        for (int64_t r = 0; r < pf.size(); ++r, row += pf.arity()) {
+          for (size_t c = 0; c < prefix_keys.size(); ++c) {
+            key[c] = row[prefix_keys[c]];
           }
-          const int64_t count =
-              static_cast<int64_t>(index.Lookup(key.data()).size());
-          count_tuples.fragment(s).AppendRow(
-              {pf.at(r, id_col), static_cast<Value>(i),
-               static_cast<Value>(count)});
+          out[at++] = row[id_col];
+          out[at++] = static_cast<Value>(i);
+          out[at++] = static_cast<Value>(index.Lookup(key.data()).size());
         }
       });
     }
@@ -265,37 +285,52 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
       }
     }
     DistRelation chosen(prefixes_with_id.arity() + 1, p);  // +choice col.
-    cluster.pool().ParallelFor(p, [&](int64_t s) {
-      std::map<Value, std::pair<int64_t, int>> best;  // id -> (count, idx).
-      const Relation& cf = counts_home.fragment(s);
-      for (int64_t r = 0; r < cf.size(); ++r) {
-        const Value id = cf.at(r, 0);
-        const int idx = static_cast<int>(cf.at(r, 1));
-        const int64_t count = static_cast<int64_t>(cf.at(r, 2));
-        const auto it = best.find(id);
-        if (it == best.end() || count < it->second.first) {
-          best[id] = {count, idx};
+    {
+      ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+      cluster.pool().ParallelFor(p, [&](int64_t s) {
+        // Per prefix id, the smallest count and, among equal counts, the
+        // earliest count tuple: sort (id, count, row) triples and keep the
+        // first of each id.
+        const Relation& cf = counts_home.fragment(s);
+        std::vector<std::array<Value, 3>> best(cf.size());
+        const Value* c = cf.data().data();
+        for (int64_t r = 0; r < cf.size(); ++r, c += 3) {
+          best[r] = {c[0], c[2], static_cast<Value>(r)};
         }
-      }
-      const Relation& pf = prefix_home.fragment(s);
-      std::vector<Value> row(chosen.arity());
-      for (int64_t r = 0; r < pf.size(); ++r) {
-        const Value id = pf.at(r, id_col);
-        int choice = constant_idx;
-        int64_t count = best_constant;
-        const auto it = best.find(id);
-        if (it != best.end() &&
-            (choice < 0 || it->second.first < count)) {
-          choice = it->second.second;
-          count = it->second.first;
+        std::sort(best.begin(), best.end());
+        best.erase(std::unique(best.begin(), best.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a[0] == b[0];
+                               }),
+                   best.end());
+        const Relation& pf = prefix_home.fragment(s);
+        std::vector<Value> rows;
+        rows.reserve(static_cast<size_t>(pf.size()) * chosen.arity());
+        const Value* row = pf.data().data();
+        for (int64_t r = 0; r < pf.size(); ++r, row += pf.arity()) {
+          const Value id = row[id_col];
+          int choice = constant_idx;
+          int64_t count = best_constant;
+          const auto it = std::lower_bound(
+              best.begin(), best.end(), id,
+              [](const std::array<Value, 3>& e, Value key) {
+                return e[0] < key;
+              });
+          if (it != best.end() && (*it)[0] == id &&
+              (choice < 0 || static_cast<int64_t>((*it)[1]) < count)) {
+            choice = static_cast<int>(cf.at(static_cast<int64_t>((*it)[2]), 1));
+            count = static_cast<int64_t>((*it)[1]);
+          }
+          MPCQP_CHECK_GE(choice, 0);
+          if (count == 0) continue;  // No candidates anywhere: prefix dies.
+          rows.insert(rows.end(), row, row + pf.arity());
+          rows.push_back(static_cast<Value>(choice));
         }
-        MPCQP_CHECK_GE(choice, 0);
-        if (count == 0) continue;  // No candidates anywhere: prefix dies.
-        std::copy(pf.row(r), pf.row(r) + pf.arity(), row.begin());
-        row[pf.arity()] = static_cast<Value>(choice);
-        chosen.fragment(s).AppendRow(row.data());
-      }
-    });
+        if (!rows.empty()) {
+          chosen.fragment(s) = Relation(chosen.arity(), std::move(rows));
+        }
+      });
+    }
     const int choice_col = chosen.arity() - 1;
 
     // ---- Extend round: each prefix travels to its chosen proposer's
@@ -310,11 +345,14 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     for (size_t i = 0; i < proposers.size(); ++i) {
       // Prefixes that chose proposer i (local filter).
       DistRelation mine(chosen.arity(), p);
-      cluster.pool().ParallelFor(p, [&](int64_t s) {
-        mine.fragment(s) = Filter(chosen.fragment(s), [&](const Value* r) {
-          return r[choice_col] == static_cast<Value>(i);
+      {
+        ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+        cluster.pool().ParallelFor(p, [&](int64_t s) {
+          mine.fragment(s) = Filter(chosen.fragment(s), [&](const Value* r) {
+            return r[choice_col] == static_cast<Value>(i);
+          });
         });
-      });
+      }
       if (mine.TotalSize() == 0) continue;
       if (proposers[i].shared_vars.empty()) {
         extend_parts[i].broadcast = true;

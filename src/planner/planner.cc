@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "acyclic/gym.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "join/heavy_hitters.h"
 #include "multiway/bigjoin.h"
 #include "multiway/hypercube.h"
@@ -90,14 +92,18 @@ PlannerStats GatherPlannerStats(const ConjunctiveQuery& q,
   stats.distinct.assign(q.num_atoms(),
                         std::vector<int64_t>(q.num_vars(), 0));
   stats.var_is_heavy.assign(q.num_vars(), false);
+  // The kernels below give the same answers on any pool; run them on the
+  // one every Cluster of the request path shares (serially if none yet).
+  const std::shared_ptr<ThreadPool> pool = ExecutorRegistry::SharedIfCreated();
   for (int j = 0; j < q.num_atoms(); ++j) {
     const int64_t size = atoms[j].TotalSize();
     stats.sizes.push_back(size);
     stats.total_in += size;
-    const Relation whole = atoms[j].Collect();
-    stats.atom_has_duplicates.push_back(Dedup(whole).size() != whole.size());
+    const Relation whole = atoms[j].Collect(pool.get());
+    stats.atom_has_duplicates.push_back(Dedup(whole, pool.get()).size() !=
+                                        whole.size());
     for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-      const ColumnDegrees degrees(atoms[j], c);
+      const ColumnDegrees degrees(atoms[j], c, pool.get());
       stats.distinct[j][v] = degrees.Distinct();
       if (!degrees.Heavy(heavy_threshold).empty()) {
         stats.var_is_heavy[v] = true;

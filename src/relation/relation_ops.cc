@@ -44,15 +44,21 @@ void CheckJoinArgs(RelationView left, RelationView right,
   }
 }
 
+// Appends one output row to the flat buffer `out`. Operators collect
+// their rows in such a buffer and wrap it once (RowsToRelation): a
+// per-row Relation::AppendRow would re-run the copy-on-write check.
 void EmitJoinRow(RelationView left, int64_t lrow, RelationView right,
                  int64_t rrow, const std::vector<int>& right_out_cols,
-                 std::vector<Value>& scratch, Relation& out) {
-  scratch.clear();
+                 std::vector<Value>& out) {
   const Value* l = left.row(lrow);
-  scratch.insert(scratch.end(), l, l + left.arity());
+  out.insert(out.end(), l, l + left.arity());
   const Value* r = right.row(rrow);
-  for (int c : right_out_cols) scratch.push_back(r[c]);
-  out.AppendRow(scratch.data());
+  for (int c : right_out_cols) out.push_back(r[c]);
+}
+
+Relation RowsToRelation(int arity, std::vector<Value> rows) {
+  if (rows.empty()) return Relation(arity);
+  return Relation(arity, std::move(rows));
 }
 
 // Row indices of `rel` sorted by `key_cols` then all columns — the
@@ -86,49 +92,88 @@ Relation Project(RelationView rel, const std::vector<int>& cols) {
     MPCQP_CHECK_GE(c, 0);
     MPCQP_CHECK_LT(c, rel.arity());
   }
-  Relation out(static_cast<int>(cols.size()));
+  const int width = static_cast<int>(cols.size());
+  Relation out(width);
   if (cols.empty()) {
     for (int64_t i = 0; i < rel.size(); ++i) out.AppendNullaryRow();
     return out;
   }
-  out.Reserve(rel.size());
-  std::vector<Value> scratch(cols.size());
+  bool identity = width == rel.arity();
+  for (int j = 0; identity && j < width; ++j) identity = cols[j] == j;
+  if (identity) return rel.ToRelation();
+  if (rel.empty()) return out;
+  // Tight loop over the raw rows (the loop bounds are the view's own, so
+  // the per-row accessor CHECKs would be redundant).
+  const Value* base = rel.base();
+  const int64_t* sel = rel.selection();
+  const int arity = rel.arity();
+  Value* dst = out.ResizeRowsForOverwrite(rel.size());
   for (int64_t i = 0; i < rel.size(); ++i) {
-    const Value* row = rel.row(i);
-    for (size_t j = 0; j < cols.size(); ++j) scratch[j] = row[cols[j]];
-    out.AppendRow(scratch.data());
+    const Value* row =
+        base + static_cast<size_t>(sel != nullptr ? sel[i] : i) * arity;
+    for (int j = 0; j < width; ++j) *dst++ = row[cols[j]];
   }
   return out;
 }
 
+namespace {
+
+// True if the rows of `rel` are in strictly increasing lexicographic
+// order: sorted, with no two rows equal.
+bool StrictlySorted(RelationView rel) {
+  const int arity = rel.arity();
+  const Value* base = rel.base();
+  for (int64_t i = 1; i < rel.size(); ++i) {
+    const Value* prev = base + static_cast<size_t>(i - 1) * arity;
+    const Value* cur = prev + arity;
+    if (!std::lexicographical_compare(prev, prev + arity, cur, cur + arity)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Relation Dedup(RelationView rel, ThreadPool* pool) {
-  if (rel.arity() == 0) {
+  const int arity = rel.arity();
+  if (arity == 0) {
     Relation out(0);
     if (rel.size() > 0) out.AppendNullaryRow();
     return out;
   }
-  const std::vector<int64_t> order = SortedOrder(rel, {}, pool);
-  Relation out(rel.arity());
-  out.Reserve(rel.size());
-  const Value* prev = nullptr;
-  for (int64_t i : order) {
-    const Value* cur = rel.row(i);
-    if (prev != nullptr && std::equal(cur, cur + rel.arity(), prev)) continue;
-    out.AppendRow(cur);
-    prev = cur;
+  // Already the sorted distinct rows: share the payload, move no bytes.
+  if (rel.whole() && StrictlySorted(rel)) return rel.ToRelation();
+  std::vector<Value> data(static_cast<size_t>(rel.size()) * arity);
+  rel.CopyRowsTo(data.data());
+  SortRowsBuffer(pool, arity, data, {});
+  // Compact equal neighbours in place; the first of each run stays.
+  size_t kept = 0;
+  for (size_t at = 0; at < data.size(); at += arity) {
+    if (kept > 0 &&
+        std::equal(data.begin() + at, data.begin() + at + arity,
+                   data.begin() + (kept - arity))) {
+      continue;
+    }
+    if (kept != at) {
+      std::copy(data.begin() + at, data.begin() + at + arity,
+                data.begin() + kept);
+    }
+    kept += arity;
   }
-  return out;
+  data.resize(kept);
+  return Relation(arity, std::move(data));
 }
 
 Relation Filter(RelationView rel,
                 const std::function<bool(const Value*)>& pred) {
   MPCQP_CHECK_GT(rel.arity(), 0);
-  Relation out(rel.arity());
+  std::vector<Value> out;
   for (int64_t i = 0; i < rel.size(); ++i) {
     const Value* row = rel.row(i);
-    if (pred(row)) out.AppendRow(row);
+    if (pred(row)) out.insert(out.end(), row, row + rel.arity());
   }
-  return out;
+  return RowsToRelation(rel.arity(), std::move(out));
 }
 
 namespace {
@@ -255,23 +300,24 @@ Relation HashJoinLocal(RelationView left, RelationView right,
                        const std::vector<int>& right_keys) {
   CheckJoinArgs(left, right, left_keys, right_keys);
   const std::vector<int> right_out_cols = NonKeyRightCols(right, right_keys);
-  Relation out(left.arity() + static_cast<int>(right_out_cols.size()));
-  if (left.empty() || right.empty()) return out;
+  const int out_arity =
+      left.arity() + static_cast<int>(right_out_cols.size());
+  if (left.empty() || right.empty()) return Relation(out_arity);
 
   // Build on the smaller side conceptually; for simplicity always build on
   // `right` (callers pass the smaller side right in hot paths).
   KeyIndex index(right, right_keys);
   MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
   std::vector<Value> key(left_keys.size());
-  std::vector<Value> scratch;
+  std::vector<Value> rows;
   for (int64_t i = 0; i < left.size(); ++i) {
     const Value* lrow = left.row(i);
     for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
     for (int64_t rrow : index.Lookup(key.data())) {
-      EmitJoinRow(left, i, right, rrow, right_out_cols, scratch, out);
+      EmitJoinRow(left, i, right, rrow, right_out_cols, rows);
     }
   }
-  return out;
+  return RowsToRelation(out_arity, std::move(rows));
 }
 
 Relation SortMergeJoinLocal(RelationView left, RelationView right,
@@ -279,8 +325,9 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
                             const std::vector<int>& right_keys) {
   CheckJoinArgs(left, right, left_keys, right_keys);
   const std::vector<int> right_out_cols = NonKeyRightCols(right, right_keys);
-  Relation out(left.arity() + static_cast<int>(right_out_cols.size()));
-  if (left.empty() || right.empty()) return out;
+  const int out_arity =
+      left.arity() + static_cast<int>(right_out_cols.size());
+  if (left.empty() || right.empty()) return Relation(out_arity);
 
   // Sorted selection views: the merge walks permutations, not copies.
   const std::vector<int64_t> lorder = SortedOrder(left, left_keys);
@@ -313,7 +360,7 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
     return true;
   };
 
-  std::vector<Value> scratch;
+  std::vector<Value> rows;
   int64_t li = 0;
   int64_t ri = 0;
   while (li < static_cast<int64_t>(lorder.size()) &&
@@ -338,14 +385,14 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
       for (int64_t a = li; a < lend; ++a) {
         for (int64_t b = ri; b < rend; ++b) {
           EmitJoinRow(left, lorder[a], right, rorder[b], right_out_cols,
-                      scratch, out);
+                      rows);
         }
       }
       li = lend;
       ri = rend;
     }
   }
-  return out;
+  return RowsToRelation(out_arity, std::move(rows));
 }
 
 Relation NestedLoopJoinLocal(RelationView left, RelationView right,
@@ -353,8 +400,9 @@ Relation NestedLoopJoinLocal(RelationView left, RelationView right,
                              const std::vector<int>& right_keys) {
   CheckJoinArgs(left, right, left_keys, right_keys);
   const std::vector<int> right_out_cols = NonKeyRightCols(right, right_keys);
-  Relation out(left.arity() + static_cast<int>(right_out_cols.size()));
-  std::vector<Value> scratch;
+  const int out_arity =
+      left.arity() + static_cast<int>(right_out_cols.size());
+  std::vector<Value> rows;
   for (int64_t i = 0; i < left.size(); ++i) {
     for (int64_t j = 0; j < right.size(); ++j) {
       bool match = true;
@@ -364,10 +412,10 @@ Relation NestedLoopJoinLocal(RelationView left, RelationView right,
           break;
         }
       }
-      if (match) EmitJoinRow(left, i, right, j, right_out_cols, scratch, out);
+      if (match) EmitJoinRow(left, i, right, j, right_out_cols, rows);
     }
   }
-  return out;
+  return RowsToRelation(out_arity, std::move(rows));
 }
 
 namespace {
@@ -380,7 +428,7 @@ namespace {
 // the per-row path, only the memory access pattern differs.
 Relation FilterByIndex(RelationView left, const std::vector<int>& left_keys,
                        const KeyIndex& index, bool want_match) {
-  Relation out(left.arity());
+  std::vector<Value> out;
   MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
   if (left_keys.size() == 1) {
     constexpr int64_t kBlockRows = 8192;
@@ -395,18 +443,23 @@ Relation FilterByIndex(RelationView left, const std::vector<int>& left_keys,
         const bool hit =
             !index.LookupWithHash(hashes[i - begin], &keys[i - begin])
                  .empty();
-        if (hit == want_match) out.AppendRow(left.row(i));
+        if (hit == want_match) {
+          const Value* row = left.row(i);
+          out.insert(out.end(), row, row + left.arity());
+        }
       }
     }
-    return out;
+    return RowsToRelation(left.arity(), std::move(out));
   }
   std::vector<Value> key(left_keys.size());
   for (int64_t i = 0; i < left.size(); ++i) {
     const Value* lrow = left.row(i);
     for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
-    if (index.Contains(key.data()) == want_match) out.AppendRow(lrow);
+    if (index.Contains(key.data()) == want_match) {
+      out.insert(out.end(), lrow, lrow + left.arity());
+    }
   }
-  return out;
+  return RowsToRelation(left.arity(), std::move(out));
 }
 
 }  // namespace

@@ -22,12 +22,16 @@ namespace mpcqp {
 // borrowed only for the duration of the call.
 
 // Projection onto `cols` (columns may repeat or reorder). Multiset
-// semantics: duplicates are kept.
+// semantics: duplicates are kept. The identity projection is
+// rel.ToRelation() (a payload-sharing handle for a whole-relation view).
 Relation Project(RelationView rel, const std::vector<int>& cols);
 
-// Removes duplicate rows (sorts an index permutation internally — the
-// input is not copied; output is sorted). `pool` (optional) parallelizes
-// the permutation sort on large inputs.
+// Removes duplicate rows; the output is the sorted set of distinct rows.
+// A whole-relation view that is already strictly sorted returns a
+// payload-sharing handle (no bytes move); anything else is copied once
+// and sorted with the row-sort kernel (SortRowsBuffer: fixed-width rows
+// for arity 1–4), then compacted. `pool` (optional) parallelizes the sort
+// on large inputs; the output is identical for every pool.
 Relation Dedup(RelationView rel, ThreadPool* pool = nullptr);
 
 // Rows for which `pred` returns true.

@@ -1,6 +1,7 @@
 #ifndef MPCQP_RELATION_RELATION_VIEW_H_
 #define MPCQP_RELATION_RELATION_VIEW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -78,6 +79,9 @@ class RelationView {
   const Value* base() const { return base_; }
   const int64_t* selection() const { return sel_; }
 
+  // True if the view covers a whole Relation (ToRelation shares it).
+  bool whole() const { return rel_ != nullptr; }
+
   // Materializes the viewed rows. A whole-relation view returns a
   // payload-sharing handle (no bytes move, COW); spans and selections
   // copy exactly the viewed rows.
@@ -88,9 +92,21 @@ class RelationView {
       for (int64_t i = 0; i < rows_; ++i) out.AppendNullaryRow();
       return out;
     }
-    out.Reserve(rows_);
-    for (int64_t i = 0; i < rows_; ++i) out.AppendRow(row(i));
+    if (rows_ > 0) CopyRowsTo(out.ResizeRowsForOverwrite(rows_));
     return out;
+  }
+
+  // Writes the viewed rows, in view order, to size() * arity() values at
+  // `dst`. Invalid for nullary views.
+  void CopyRowsTo(Value* dst) const {
+    if (sel_ == nullptr) {
+      std::copy(base_, base_ + static_cast<size_t>(rows_) * arity_, dst);
+      return;
+    }
+    for (int64_t i = 0; i < rows_; ++i) {
+      const Value* src = base_ + static_cast<size_t>(sel_[i]) * arity_;
+      dst = std::copy(src, src + arity_, dst);
+    }
   }
 
  private:

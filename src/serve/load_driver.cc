@@ -34,11 +34,13 @@ LoadReport RunLoad(QueryServer& server,
   std::mutex collect_mutex;
   std::vector<double> latencies;
   int64_t errors = 0;
+  std::map<StatusCode, int64_t> errors_by_code;
   int64_t cache_hits = 0;
 
   auto client = [&]() {
     std::vector<double> local_latencies;
     int64_t local_errors = 0;
+    std::map<StatusCode, int64_t> local_codes;
     int64_t local_hits = 0;
     while (true) {
       const int64_t ticket = next_request.fetch_add(1);
@@ -52,6 +54,7 @@ LoadReport RunLoad(QueryServer& server,
       const auto result = server.Execute(query);
       if (!result.ok()) {
         ++local_errors;
+        ++local_codes[result.status().code()];
         continue;
       }
       local_latencies.push_back(result->latency_ms);
@@ -61,6 +64,9 @@ LoadReport RunLoad(QueryServer& server,
     latencies.insert(latencies.end(), local_latencies.begin(),
                      local_latencies.end());
     errors += local_errors;
+    for (const auto& [code, count] : local_codes) {
+      errors_by_code[code] += count;
+    }
     cache_hits += local_hits;
   };
 
@@ -79,6 +85,7 @@ LoadReport RunLoad(QueryServer& server,
   report.clients = options.clients;
   report.completed = static_cast<int64_t>(latencies.size());
   report.errors = errors;
+  report.errors_by_code = std::move(errors_by_code);
   report.wall_ms = wall_ms;
   report.qps =
       wall_ms > 0 ? 1000.0 * static_cast<double>(report.completed) / wall_ms
@@ -101,6 +108,16 @@ LoadReport RunLoad(QueryServer& server,
   return report;
 }
 
+std::string LoadReport::ErrorsByCode() const {
+  std::string out;
+  for (const auto& [code, count] : errors_by_code) {
+    if (!out.empty()) out += ", ";
+    out += std::string(StatusCodeToString(code)) + " " +
+           std::to_string(count);
+  }
+  return out;
+}
+
 std::string LoadReport::ToJson() const {
   std::string json = "{";
   auto field = [&json](const std::string& name, const std::string& value,
@@ -115,6 +132,13 @@ std::string LoadReport::ToJson() const {
   field("clients", std::to_string(clients));
   field("completed", std::to_string(completed));
   field("errors", std::to_string(errors));
+  std::string by_code = "{";
+  for (const auto& [code, count] : errors_by_code) {
+    if (by_code.size() > 1) by_code += ", ";
+    by_code += "\"" + std::string(StatusCodeToString(code)) +
+               "\": " + std::to_string(count);
+  }
+  field("errors_by_code", by_code + "}");
   field("wall_ms", num(wall_ms));
   field("qps", num(qps));
   field("mean_ms", num(mean_ms));

@@ -2,9 +2,11 @@
 #define MPCQP_SERVE_LOAD_DRIVER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "serve/query_server.h"
 
 namespace mpcqp {
@@ -23,6 +25,9 @@ struct LoadReport {
   int clients = 0;
   int64_t completed = 0;
   int64_t errors = 0;         // Non-OK Executes (UNAVAILABLE etc.).
+  // The same errors by status code, in code order; the counts sum to
+  // `errors`.
+  std::map<StatusCode, int64_t> errors_by_code;
   double wall_ms = 0.0;
   double qps = 0.0;           // completed / wall seconds.
   double mean_ms = 0.0;
@@ -37,6 +42,8 @@ struct LoadReport {
   int64_t rejected_overload = 0;
   int64_t rejected_memory = 0;
 
+  // "INVALID_ARGUMENT 2, UNAVAILABLE 1" (empty when there were none).
+  std::string ErrorsByCode() const;
   std::string ToJson() const;
 };
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,8 @@
 #include "common/thread_pool.h"
 #include "relation/key_index.h"
 #include "relation/relation.h"
+#include "relation/relation_ops.h"
+#include "relation/relation_view.h"
 #include "workload/generator.h"
 
 namespace mpcqp {
@@ -232,6 +236,184 @@ TEST(SortRowsBufferTest, FullRowSortMatchesSerial) {
   Relation parallel = input;
   parallel.SortRows(&pool);
   EXPECT_TRUE(parallel == serial);
+}
+
+TEST(SortRowsBufferTest, EveryArityMatchesReferenceSort) {
+  // Arities 1–4 take the fixed-width path, 5 and 6 the permutation path;
+  // both must give std::sort's bytes with and without key columns.
+  for (int arity = 1; arity <= 6; ++arity) {
+    Rng rng(41 + arity);
+    const Relation input =
+        GenerateUniform(rng, kParallelSortMinItems + 321, arity, 6);
+    for (const std::vector<int>& key_cols :
+         {std::vector<int>{}, std::vector<int>{arity - 1}}) {
+      std::vector<std::vector<Value>> want;
+      for (int64_t i = 0; i < input.size(); ++i) {
+        want.emplace_back(input.row(i), input.row(i) + arity);
+      }
+      std::sort(want.begin(), want.end(),
+                [&](const std::vector<Value>& a, const std::vector<Value>& b) {
+                  for (int c : key_cols) {
+                    if (a[c] != b[c]) return a[c] < b[c];
+                  }
+                  return a < b;
+                });
+      std::vector<Value> want_flat;
+      for (const auto& row : want) {
+        want_flat.insert(want_flat.end(), row.begin(), row.end());
+      }
+      for (const int threads : {0, 1, 2, 8}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        std::vector<Value> got = input.data();
+        SortRowsBuffer(pool.get(), arity, got, key_cols);
+        EXPECT_EQ(got, want_flat)
+            << "arity=" << arity << " keys=" << key_cols.size()
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// ---- Dedup and Project over every kind of view. ----
+
+// The three view kinds over `rel`: the whole relation, an inner span,
+// and a selection (every third row, backwards, with repeats).
+struct Views {
+  std::vector<int64_t> selection;
+  std::vector<std::pair<const char*, RelationView>> views;
+};
+
+Views MakeViews(const Relation& rel) {
+  Views out;
+  for (int64_t i = rel.size() - 1; i >= 0; i -= 3) {
+    out.selection.push_back(i);
+    if (i % 2 == 0) out.selection.push_back(i);
+  }
+  out.views.push_back({"whole", RelationView(rel)});
+  out.views.push_back(
+      {"span", RelationView(rel, rel.size() / 5, rel.size() - 7)});
+  if (rel.arity() > 0) {
+    out.views.push_back({"selection", RelationView(rel, out.selection)});
+  }
+  return out;
+}
+
+std::vector<std::vector<Value>> ViewRows(RelationView view) {
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < view.size(); ++i) {
+    if (view.arity() == 0) {
+      rows.emplace_back();
+    } else {
+      rows.emplace_back(view.row(i), view.row(i) + view.arity());
+    }
+  }
+  return rows;
+}
+
+std::vector<std::vector<Value>> RelationRows(const Relation& rel) {
+  return ViewRows(RelationView(rel));
+}
+
+Relation MakeInput(int arity, int64_t rows, uint64_t seed) {
+  if (arity == 0) {
+    Relation out(0);
+    for (int64_t i = 0; i < rows; ++i) out.AppendNullaryRow();
+    return out;
+  }
+  Rng rng(seed);
+  return GenerateUniform(rng, rows, arity, 5);
+}
+
+TEST(DedupProjectTest, DedupMatchesSetReferenceOnEveryViewAndPool) {
+  // Above kParallelSortMinItems so pools > 1 take the chunk+merge path.
+  for (int arity = 0; arity <= 6; ++arity) {
+    const Relation input = MakeInput(arity, kParallelSortMinItems + 97, 50);
+    const Views views = MakeViews(input);
+    for (const auto& [kind, view] : views.views) {
+      const std::vector<std::vector<Value>> rows = ViewRows(view);
+      const std::set<std::vector<Value>> distinct(rows.begin(), rows.end());
+      const std::vector<std::vector<Value>> want(distinct.begin(),
+                                                 distinct.end());
+      for (const int threads : {0, 1, 2, 8}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        const Relation got = Dedup(view, pool.get());
+        EXPECT_EQ(got.arity(), arity);
+        EXPECT_EQ(RelationRows(got), want)
+            << "arity=" << arity << " view=" << kind
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(DedupProjectTest, ProjectMatchesRowReferenceOnEveryView) {
+  for (int arity = 0; arity <= 6; ++arity) {
+    const Relation input = MakeInput(arity, 500, 51);
+    std::vector<std::vector<int>> projections = {{}};
+    if (arity > 0) {
+      std::vector<int> identity(arity);
+      for (int c = 0; c < arity; ++c) identity[c] = c;
+      std::vector<int> reversed(identity.rbegin(), identity.rend());
+      projections.push_back(identity);
+      projections.push_back(reversed);
+      projections.push_back({arity - 1});
+      projections.push_back({0, arity - 1, 0});
+    }
+    const Views views = MakeViews(input);
+    for (const auto& [kind, view] : views.views) {
+      for (const std::vector<int>& cols : projections) {
+        std::vector<std::vector<Value>> want;
+        for (const std::vector<Value>& row : ViewRows(view)) {
+          std::vector<Value> projected;
+          for (int c : cols) projected.push_back(row[c]);
+          want.push_back(projected);
+        }
+        const Relation got = Project(view, cols);
+        EXPECT_EQ(got.arity(), static_cast<int>(cols.size()));
+        EXPECT_EQ(RelationRows(got), want)
+            << "arity=" << arity << " view=" << kind
+            << " width=" << cols.size();
+      }
+    }
+  }
+}
+
+TEST(DedupProjectTest, SortedDistinctAndIdentityInputsShareTheirPayload) {
+  const Relation sorted =
+      Relation::FromRows({{1, 5}, {1, 7}, {2, 0}, {4, 4}, {9, 1}});
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EXPECT_TRUE(Dedup(sorted, p).SharesPayloadWith(sorted));
+  }
+  EXPECT_TRUE(Project(sorted, {0, 1}).SharesPayloadWith(sorted));
+
+  // A span of the same rows is copied, with the same result.
+  const RelationView span(sorted, 1, 4);
+  const Relation span_dedup = Dedup(span);
+  EXPECT_FALSE(span_dedup.SharesPayloadWith(sorted));
+  EXPECT_EQ(RelationRows(span_dedup), ViewRows(span));
+
+  // Sorted with a duplicate, or unsorted: a fresh, deduplicated copy.
+  const Relation with_duplicate = Relation::FromRows({{1, 5}, {1, 5}, {2, 0}});
+  const Relation deduped = Dedup(with_duplicate);
+  EXPECT_FALSE(deduped.SharesPayloadWith(with_duplicate));
+  EXPECT_EQ(deduped, Relation::FromRows({{1, 5}, {2, 0}}));
+  const Relation unsorted = Relation::FromRows({{2, 0}, {1, 5}});
+  EXPECT_FALSE(Dedup(unsorted).SharesPayloadWith(unsorted));
+
+  // Repeated or reordered columns copy even at the input's width.
+  const Relation repeated = Project(sorted, {0, 0});
+  EXPECT_FALSE(repeated.SharesPayloadWith(sorted));
+  EXPECT_EQ(repeated.at(3, 0), 4u);
+  EXPECT_EQ(repeated.at(3, 1), 4u);
+  const Relation swapped = Project(sorted, {1, 0});
+  EXPECT_FALSE(swapped.SharesPayloadWith(sorted));
+  EXPECT_EQ(swapped.at(0, 0), 5u);
+  const Relation widened = Project(sorted, {0, 1, 0});
+  EXPECT_FALSE(widened.SharesPayloadWith(sorted));
+  EXPECT_EQ(widened.arity(), 3);
 }
 
 // ---- FlatCounter. ----

@@ -602,6 +602,9 @@ int RunServe(const Options& options) {
       static_cast<long long>(report.coalesced),
       static_cast<long long>(report.rejected_overload),
       static_cast<long long>(report.rejected_memory));
+  if (report.errors > 0) {
+    std::printf("errors: %s\n", report.ErrorsByCode().c_str());
+  }
 
   if (!options.serve_stats_path.empty()) {
     std::ofstream out(options.serve_stats_path);
