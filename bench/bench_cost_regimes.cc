@@ -77,14 +77,14 @@ void Run() {
     cluster.BeginRound("eps-replicated join");
     Route(
         cluster, DistRelation::Scatter(left, p),
-        [&](const Value*, std::vector<int>& dests) {
+        [&](const RouteContext&, const Value*, std::vector<int>& dests) {
           const int r = static_cast<int>(grid_rng.Uniform(rows));
           for (int c = 0; c < cols; ++c) dests.push_back(r * cols + c);
         },
         "");
     Route(
         cluster, DistRelation::Scatter(right, p),
-        [&](const Value*, std::vector<int>& dests) {
+        [&](const RouteContext&, const Value*, std::vector<int>& dests) {
           const int c = static_cast<int>(grid_rng.Uniform(cols));
           for (int r = 0; r < rows; ++r) dests.push_back(r * cols + c);
         },

@@ -294,7 +294,8 @@ std::vector<Primitive> MakePrimitives() {
          const int p = c.num_servers();
          return Route(
              c, rel,
-             [&hash, p](const Value* row, std::vector<int>& dests) {
+             [&hash, p](const RouteContext&, const Value* row,
+                        std::vector<int>& dests) {
                dests.push_back(hash.Bucket(row[0], p));
                dests.push_back(hash.Bucket(row[1] + 1, p));
              },

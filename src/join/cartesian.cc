@@ -56,7 +56,7 @@ void ScatterForProduct(Cluster& cluster, const DistRelation& left,
 
   // Left tuple -> one pseudo-random row slice, replicated across that row.
   {
-    DistRelation routed = RouteWithContext(
+    DistRelation routed = Route(
         cluster, left,
         [&](const RouteContext& ctx, const Value*, std::vector<int>& dests) {
           const int r = left_place.Bucket(place_key(ctx), rows);
@@ -71,7 +71,7 @@ void ScatterForProduct(Cluster& cluster, const DistRelation& left,
   }
   // Right tuple -> one pseudo-random column slice, replicated down it.
   {
-    DistRelation routed = RouteWithContext(
+    DistRelation routed = Route(
         cluster, right,
         [&](const RouteContext& ctx, const Value*, std::vector<int>& dests) {
           const int c = right_place.Bucket(place_key(ctx), cols);

@@ -116,7 +116,7 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   };
 
   cluster.BeginRound("skew-aware join: shuffle");
-  DistRelation left_parts = RouteWithContext(
+  DistRelation left_parts = Route(
       cluster, left,
       [&](const RouteContext& ctx, const Value* row,
           std::vector<int>& dests) {
@@ -134,7 +134,7 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
         }
       },
       "");
-  DistRelation right_parts = RouteWithContext(
+  DistRelation right_parts = Route(
       cluster, right,
       [&](const RouteContext& ctx, const Value* row,
           std::vector<int>& dests) {

@@ -161,7 +161,7 @@ DistRelation ParallelSortJoin(Cluster& cluster, const DistRelation& left,
     const HashFunction place(rng.Next());
     DistRelation routed = Route(
         cluster, sorted.sorted,
-        [&](const Value* urow, std::vector<int>& dests) {
+        [&](const RouteContext&, const Value* urow, std::vector<int>& dests) {
           const auto it = grids.find(urow[kKeyCol]);
           if (it == grids.end()) return;
           const Grid& g = it->second;

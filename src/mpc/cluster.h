@@ -30,12 +30,12 @@ struct ClusterOptions {
   // morsel decomposition derives from input sizes only, and counts
   // aggregate in fixed morsel order (see DESIGN.md, "Execution model").
   int64_t morsel_rows = 8192;
-  // Physical layout for the hot kernels (exchange route hashing, local
-  // selection/semijoin/group-by scans). Like num_threads and morsel_rows
-  // this NEVER changes results — outputs, CostReports, and strategy
-  // choices are bit-identical for every mode; kAuto (the default) picks
-  // per kernel from arity heuristics (relation/columnar.h). The CLI
-  // exposes it as --layout row|columnar|auto.
+  // Physical layout for the hot local kernels (selection/semijoin/
+  // group-by scans; exchanges do not consult it). Like num_threads and
+  // morsel_rows this NEVER changes results — outputs, CostReports, and
+  // strategy choices are bit-identical for every mode; kAuto (the
+  // default) picks per kernel from arity heuristics (relation/columnar.h).
+  // The CLI exposes it as --layout row|columnar|auto.
   LayoutMode layout = LayoutMode::kAuto;
   // When set, the cluster ATTACHES to this pool instead of spawning its
   // own threads, and num_threads is ignored. Any number of logical

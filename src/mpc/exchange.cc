@@ -87,23 +87,40 @@ WriteCombineScratch& LocalWriteCombineScratch() {
   return scratch;
 }
 
-// Copies `rows[i]` of `frag` (for i in [begin, end), destinations in
-// `dests[i - begin]`) into the pre-sized fragments at `base`, advancing
-// `cursor[dst]` (this morsel's private offset row). The write-combining
-// variant stages per-destination blocks and flushes with bulk memcpy.
-void CopyMorselDirect(const Value* in, const int32_t* dests, int64_t rows,
-                      int arity, Value* const* base, int64_t* cursor) {
-  for (int64_t i = 0; i < rows; ++i, in += arity) {
-    const int dst = dests[i];
-    std::memcpy(base[dst] + cursor[dst] * arity, in,
-                static_cast<size_t>(arity) * sizeof(Value));
-    ++cursor[dst];
-  }
-}
+// Where phase 1 left one morsel's destinations. Single-destination shape
+// (`ends` null): row i goes to dests[i]. Multicast shape: row i goes to
+// dests[ends[i-1] .. ends[i]) (with ends[-1] = 0), possibly none.
+struct MorselDests {
+  const int32_t* dests = nullptr;
+  const int64_t* ends = nullptr;
+};
 
-void CopyMorselWriteCombining(const Value* in, const int32_t* dests,
-                              int64_t rows, int arity, int p,
-                              Value* const* base, int64_t* cursor) {
+// Copies the `rows` rows at `in` into the pre-sized fragments at `base`,
+// advancing `cursor[dst]` (this morsel's private offset row). The
+// write-combining variant stages per-destination blocks and flushes with
+// bulk memcpy.
+void CopyMorsel(const Value* in, int64_t rows, MorselDests md, int arity,
+                int p, Value* const* base, int64_t* cursor) {
+  // Visits every (row, destination) pair in row order; the shape test is
+  // hoisted out of the per-row loop.
+  const auto each_pair = [&](const auto& put) {
+    if (md.ends == nullptr) {
+      for (int64_t i = 0; i < rows; ++i, in += arity) put(md.dests[i], in);
+      return;
+    }
+    int64_t j = 0;
+    for (int64_t i = 0; i < rows; ++i, in += arity) {
+      for (; j < md.ends[i]; ++j) put(md.dests[j], in);
+    }
+  };
+  if (p < kWriteCombineMinDests) {
+    each_pair([&](int dst, const Value* row) {
+      std::memcpy(base[dst] + cursor[dst] * arity, row,
+                  static_cast<size_t>(arity) * sizeof(Value));
+      ++cursor[dst];
+    });
+    return;
+  }
   const int64_t block_rows =
       std::max<int64_t>(4, kWriteCombineBlockBytes /
                                (static_cast<int64_t>(arity) * sizeof(Value)));
@@ -120,26 +137,65 @@ void CopyMorselWriteCombining(const Value* in, const int32_t* dests,
     cursor[dst] += staged;
     fill[dst] = 0;
   };
-  for (int64_t i = 0; i < rows; ++i, in += arity) {
-    const int dst = dests[i];
-    std::memcpy(stage + (dst * block_rows + fill[dst]) * arity, in,
+  each_pair([&](int dst, const Value* row) {
+    std::memcpy(stage + (dst * block_rows + fill[dst]) * arity, row,
                 static_cast<size_t>(arity) * sizeof(Value));
     if (++fill[dst] == block_rows) flush(dst);
-  }
+  });
   for (int dst = 0; dst < p; ++dst) {
     if (fill[dst] > 0) flush(dst);
   }
 }
 
-// Router for exchanges where every tuple has exactly one destination
-// (hash/range partition, gather). `target(src, frag, begin, end, dests)`
-// computes the destinations of rows [begin, end) of fragment `src` into
-// dests[0 .. end - begin); it is called concurrently from morsel tasks and
-// its result for a row may depend only on that row and its coordinates.
-template <typename BatchTargetFn>
-DistRelation RouteSingle(Cluster& cluster, const DistRelation& rel,
-                         const BatchTargetFn& target,
-                         const std::string& label) {
+// Offsets + presize, parallel over destinations: for destination d, walk
+// the morsels in (src, begin) order so rows land src-major and
+// row-ascending — the serial append order — for any morsel size; meter
+// each (src, d) message as its total closes. Fills `offsets` (per
+// (morsel, dst) write offsets) and `base` (each destination's payload).
+void PresizeAndMeter(Cluster& cluster, const std::vector<Morsel>& morsels,
+                     const std::vector<int64_t>& counts, int arity,
+                     DistRelation& out, std::vector<int64_t>& offsets,
+                     std::vector<Value*>& base) {
+  const int p = cluster.num_servers();
+  const int64_t num_morsels = static_cast<int64_t>(morsels.size());
+  offsets.resize(static_cast<size_t>(num_morsels) * p);
+  base.resize(p);
+  ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
+  MPCQP_TRACE_SCOPE("presize", "exchange");
+  cluster.pool().ParallelFor(p, [&](int64_t task) {
+    const int dst = static_cast<int>(task);
+    int64_t total = 0;
+    int64_t src_total = 0;
+    for (int64_t m = 0; m < num_morsels; ++m) {
+      offsets[m * p + dst] = total;
+      total += counts[m * p + dst];
+      src_total += counts[m * p + dst];
+      if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
+        if (src_total > 0) {
+          cluster.RecordMessage(morsels[m].src, dst, src_total,
+                                src_total * arity);
+        }
+        src_total = 0;
+      }
+    }
+    base[dst] = out.fragment(dst).ResizeRowsForOverwrite(total);
+    cluster.metrics().RecordFragmentRows(total);
+  });
+}
+
+// The one exchange router. Only phase 1 depends on the destination shape:
+//  - single destination (kMulticast false): `target(src, frag, begin,
+//    end, dests)` computes the destinations of rows [begin, end) of
+//    fragment `src` into dests[0 .. end - begin), one int32_t per row in a
+//    flat array over all rows (hash/range partition, gather);
+//  - multicast (kMulticast true): `target(ctx, row, dests)` appends each
+//    tuple's destinations (possibly none or several); each morsel keeps a
+//    flat destination list plus per-row end indices.
+// Either callback runs concurrently from morsel tasks, and its result for
+// a row may depend only on that row and its coordinates.
+template <bool kMulticast, typename TargetFn>
+DistRelation RouteMorsels(Cluster& cluster, const DistRelation& rel,
+                          const TargetFn& target, const std::string& label) {
   const int p = cluster.num_servers();
   MPCQP_CHECK_EQ(rel.num_servers(), p);
   MPCQP_CHECK_GT(rel.arity(), 0) << "cannot route nullary relations";
@@ -152,14 +208,25 @@ DistRelation RouteSingle(Cluster& cluster, const DistRelation& rel,
       TileSources(rel, cluster.morsel_rows());
   const int64_t num_morsels = static_cast<int64_t>(morsels.size());
 
-  // Row offset of each fragment in the flat destination array.
-  std::vector<int64_t> row_base(static_cast<size_t>(p) + 1, 0);
-  for (int src = 0; src < p; ++src) {
-    row_base[src + 1] = row_base[src] + rel.fragment(src).size();
+  // Destination storage. Single: one slot per input row, at the row's
+  // offset in the src-major concatenation. Multicast: per-morsel flat
+  // lists and row ends.
+  std::vector<int64_t> row_base;
+  std::unique_ptr<int32_t[]> single;
+  std::vector<std::vector<int32_t>> flat;
+  std::vector<std::vector<int64_t>> row_end;
+  if constexpr (kMulticast) {
+    flat.resize(morsels.size());
+    row_end.resize(morsels.size());
+  } else {
+    row_base.assign(static_cast<size_t>(p) + 1, 0);
+    for (int src = 0; src < p; ++src) {
+      row_base[src + 1] = row_base[src] + rel.fragment(src).size();
+    }
+    single = std::make_unique_for_overwrite<int32_t[]>(
+        static_cast<size_t>(std::max<int64_t>(row_base[p], 1)));
   }
-  const int64_t total_rows = row_base[p];
-  auto dests = std::make_unique_for_overwrite<int32_t[]>(
-      static_cast<size_t>(std::max<int64_t>(total_rows, 1)));
+  std::vector<MorselDests> dests(morsels.size());
 
   // Phase 1: destinations + per-(morsel, dst) counts, one work-stealing
   // task per morsel.
@@ -167,217 +234,64 @@ DistRelation RouteSingle(Cluster& cluster, const DistRelation& rel,
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kRoute);
     pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
+      [[maybe_unused]] std::vector<int> row_dests;  // Reused per block.
       for (int64_t m = mb; m < me; ++m) {
         const Morsel& mo = morsels[m];
         MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
         const Relation& frag = rel.fragment(mo.src);
-        int32_t* const d = dests.get() + row_base[mo.src] + mo.begin;
         const int64_t rows = mo.end - mo.begin;
-        target(mo.src, frag, mo.begin, mo.end, d);
         int64_t* const cnt = counts.data() + m * p;
-        for (int64_t i = 0; i < rows; ++i) {
-          const int32_t dst = d[i];
-          MPCQP_CHECK_GE(dst, 0);
-          MPCQP_CHECK_LT(dst, p);
-          ++cnt[dst];
+        if constexpr (kMulticast) {
+          std::vector<int32_t>& my_flat = flat[m];
+          std::vector<int64_t>& ends = row_end[m];
+          ends.resize(rows);
+          // Floor: one destination per row (multicasts grow past it once).
+          my_flat.reserve(rows);
+          RouteContext ctx;
+          ctx.src = mo.src;
+          for (int64_t i = mo.begin; i < mo.end; ++i) {
+            ctx.row = i;
+            row_dests.clear();
+            target(ctx, frag.row(i), row_dests);
+            for (int dst : row_dests) {
+              MPCQP_CHECK_GE(dst, 0);
+              MPCQP_CHECK_LT(dst, p);
+              my_flat.push_back(static_cast<int32_t>(dst));
+              ++cnt[dst];
+            }
+            ends[i - mo.begin] = static_cast<int64_t>(my_flat.size());
+          }
+          dests[m] = {my_flat.data(), ends.data()};
+        } else {
+          int32_t* const d = single.get() + row_base[mo.src] + mo.begin;
+          target(mo.src, frag, mo.begin, mo.end, d);
+          for (int64_t i = 0; i < rows; ++i) {
+            const int32_t dst = d[i];
+            MPCQP_CHECK_GE(dst, 0);
+            MPCQP_CHECK_LT(dst, p);
+            ++cnt[dst];
+          }
+          dests[m] = {d, nullptr};
         }
       }
     });
   }
 
-  // Offsets + presize, parallel over destinations: for destination d, walk
-  // the morsels in (src, begin) order so rows land src-major and
-  // row-ascending — the serial append order — for any morsel size; meter
-  // each (src, d) message as its total closes.
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) * p);
-  std::vector<Value*> base(p);
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
-    MPCQP_TRACE_SCOPE("presize", "exchange");
-    pool.ParallelFor(p, [&](int64_t task) {
-      const int dst = static_cast<int>(task);
-      int64_t total = 0;
-      int64_t src_total = 0;
-      for (int64_t m = 0; m < num_morsels; ++m) {
-        offsets[m * p + dst] = total;
-        total += counts[m * p + dst];
-        src_total += counts[m * p + dst];
-        if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
-          if (src_total > 0) {
-            cluster.RecordMessage(morsels[m].src, dst, src_total,
-                                  src_total * arity);
-          }
-          src_total = 0;
-        }
-      }
-      base[dst] = out.fragment(dst).ResizeRowsForOverwrite(total);
-      cluster.metrics().RecordFragmentRows(total);
-    });
-  }
+  std::vector<int64_t> offsets;
+  std::vector<Value*> base;
+  PresizeAndMeter(cluster, morsels, counts, arity, out, offsets, base);
 
   // Phase 2: bulk copy into disjoint pre-sized ranges. Each morsel's
   // offsets row doubles as its private cursor — no per-task allocation.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    const bool write_combine = p >= kWriteCombineMinDests;
     pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
       for (int64_t m = mb; m < me; ++m) {
         const Morsel& mo = morsels[m];
         MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Relation& frag = rel.fragment(mo.src);
-        const Value* in = frag.row(0) + mo.begin * arity;
-        const int32_t* const d = dests.get() + row_base[mo.src] + mo.begin;
-        int64_t* const cursor = offsets.data() + m * p;
-        const int64_t rows = mo.end - mo.begin;
-        if (write_combine) {
-          CopyMorselWriteCombining(in, d, rows, arity, p, base.data(),
-                                   cursor);
-        } else {
-          CopyMorselDirect(in, d, rows, arity, base.data(), cursor);
-        }
-      }
-    });
-  }
-  return out;
-}
-
-// Router for exchanges where a tuple may go to zero or several servers
-// (multicast). Same morsel phases; each morsel stores a flat destination
-// list plus per-row end indices (relative to the morsel).
-template <typename MultiTargetFn>
-DistRelation RouteMulti(Cluster& cluster, const DistRelation& rel,
-                        const MultiTargetFn& targets,
-                        const std::string& label) {
-  const int p = cluster.num_servers();
-  MPCQP_CHECK_EQ(rel.num_servers(), p);
-  MPCQP_CHECK_GT(rel.arity(), 0) << "cannot route nullary relations";
-  RoundScope scope(cluster, label);
-
-  const int arity = rel.arity();
-  DistRelation out(arity, p);
-  ThreadPool& pool = cluster.pool();
-  const std::vector<Morsel> morsels =
-      TileSources(rel, cluster.morsel_rows());
-  const int64_t num_morsels = static_cast<int64_t>(morsels.size());
-
-  // Phase 1: per morsel, a flat destination list plus per-row end indices.
-  std::vector<std::vector<int32_t>> flat(morsels.size());
-  std::vector<std::vector<int64_t>> row_end(morsels.size());
-  std::vector<int64_t> counts(static_cast<size_t>(num_morsels) * p, 0);
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kRoute);
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      std::vector<int> row_dests;  // Reused across the block's morsels.
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
-        const Relation& frag = rel.fragment(mo.src);
-        std::vector<int32_t>& my_flat = flat[m];
-        std::vector<int64_t>& ends = row_end[m];
-        ends.resize(mo.end - mo.begin);
-        // Floor: one destination per row (multicasts grow past it once).
-        my_flat.reserve(mo.end - mo.begin);
-        int64_t* const cnt = counts.data() + m * p;
-        RouteContext ctx;
-        ctx.src = mo.src;
-        for (int64_t i = mo.begin; i < mo.end; ++i) {
-          ctx.row = i;
-          row_dests.clear();
-          targets(ctx, frag.row(i), row_dests);
-          for (int dst : row_dests) {
-            MPCQP_CHECK_GE(dst, 0);
-            MPCQP_CHECK_LT(dst, p);
-            my_flat.push_back(static_cast<int32_t>(dst));
-            ++cnt[dst];
-          }
-          ends[i - mo.begin] = static_cast<int64_t>(my_flat.size());
-        }
-      }
-    });
-  }
-
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) * p);
-  std::vector<Value*> base(p);
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
-    MPCQP_TRACE_SCOPE("presize", "exchange");
-    pool.ParallelFor(p, [&](int64_t task) {
-      const int dst = static_cast<int>(task);
-      int64_t total = 0;
-      int64_t src_total = 0;
-      for (int64_t m = 0; m < num_morsels; ++m) {
-        offsets[m * p + dst] = total;
-        total += counts[m * p + dst];
-        src_total += counts[m * p + dst];
-        if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
-          if (src_total > 0) {
-            cluster.RecordMessage(morsels[m].src, dst, src_total,
-                                  src_total * arity);
-          }
-          src_total = 0;
-        }
-      }
-      base[dst] = out.fragment(dst).ResizeRowsForOverwrite(total);
-      cluster.metrics().RecordFragmentRows(total);
-    });
-  }
-
-  // Phase 2.
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    const bool write_combine = p >= kWriteCombineMinDests;
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Relation& frag = rel.fragment(mo.src);
-        const std::vector<int32_t>& my_flat = flat[m];
-        const std::vector<int64_t>& ends = row_end[m];
-        int64_t* const cursor = offsets.data() + m * p;
-        if (write_combine) {
-          // Stage per-destination blocks exactly as the single-target
-          // copy does, but walking the flat multicast list.
-          const int64_t block_rows = std::max<int64_t>(
-              4, kWriteCombineBlockBytes /
-                     (static_cast<int64_t>(arity) * sizeof(Value)));
-          WriteCombineScratch& wc = LocalWriteCombineScratch();
-          wc.rows.resize(static_cast<size_t>(p) * block_rows * arity);
-          wc.fill.assign(p, 0);
-          Value* const stage = wc.rows.data();
-          int32_t* const fill = wc.fill.data();
-          const auto flush = [&](int dst) {
-            std::memcpy(base[dst] + cursor[dst] * arity,
-                        stage + dst * block_rows * arity,
-                        static_cast<size_t>(fill[dst]) * arity *
-                            sizeof(Value));
-            cursor[dst] += fill[dst];
-            fill[dst] = 0;
-          };
-          const Value* in = frag.row(0) + mo.begin * arity;
-          int64_t j = 0;
-          for (int64_t i = 0; i < mo.end - mo.begin; ++i, in += arity) {
-            for (; j < ends[i]; ++j) {
-              const int dst = my_flat[j];
-              std::memcpy(stage + (dst * block_rows + fill[dst]) * arity,
-                          in, static_cast<size_t>(arity) * sizeof(Value));
-              if (++fill[dst] == block_rows) flush(dst);
-            }
-          }
-          for (int dst = 0; dst < p; ++dst) {
-            if (fill[dst] > 0) flush(dst);
-          }
-        } else {
-          const Value* in = frag.row(0) + mo.begin * arity;
-          int64_t j = 0;
-          for (int64_t i = 0; i < mo.end - mo.begin; ++i, in += arity) {
-            for (; j < ends[i]; ++j) {
-              const int dst = my_flat[j];
-              std::memcpy(base[dst] + cursor[dst] * arity, in,
-                          static_cast<size_t>(arity) * sizeof(Value));
-              ++cursor[dst];
-            }
-          }
-        }
+        CopyMorsel(rel.fragment(mo.src).row(0) + mo.begin * arity,
+                   mo.end - mo.begin, dests[m], arity, p, base.data(),
+                   offsets.data() + m * p);
       }
     });
   }
@@ -395,119 +309,42 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
     MPCQP_CHECK_LT(c, rel.arity());
   }
   const int p = cluster.num_servers();
-  if (key_cols.empty()) {
-    // Empty key: every row belongs to one (scalar) group, so all rows
-    // route to that group's hash owner. HashSpan over zero columns is the
-    // hash function's deterministic seed constant — same owner on every
-    // server, chosen by the draw like any other key.
-    const int owner = static_cast<int>(
-        (static_cast<unsigned __int128>(hash.HashSpan(nullptr, 0)) * p) >>
-        64);
-    return RouteSingle(
-        cluster, rel,
-        [owner](int /*src*/, const Relation& /*frag*/, int64_t begin,
-                int64_t end, int32_t* dests) {
-          std::fill(dests, dests + (end - begin),
-                    static_cast<int32_t>(owner));
-        },
-        label);
-  }
-  // Single-column keys route through one of three physical plans, picked
-  // by ClusterOptions::layout (destinations — and therefore outputs and
-  // CostReports — are byte-identical for all three, since HashSpan(v, 1)
-  // == Hash(v) == HashMany element-wise and Bucket == BucketMany):
-  //   kRow            the seed per-row loop (arity-strided loads, one
-  //                   HashSpan per row) — via the generic path below;
-  //   kColumnar/kAuto over the UseColumnarRoute thresholds: extract the
-  //                   key column into one contiguous buffer (metered as
-  //                   kTranspose), then a pure vectorized BucketMany;
-  //   kAuto otherwise a fused per-morsel gather + batched BucketMany —
-  //                   columnar hashing without the extraction pass, the
-  //                   right trade below the thresholds.
-  // An arity-1 relation is already a contiguous column: direct BucketMany
-  // under every mode.
-  if (key_cols.size() == 1 && rel.arity() == 1) {
-    return RouteSingle(
-        cluster, rel,
-        [&hash, p](int /*src*/, const Relation& frag, int64_t begin,
-                   int64_t end, int32_t* dests) {
-          hash.BucketMany(frag.data().data() + begin, end - begin, p, dests);
-        },
-        label);
-  }
-  if (key_cols.size() == 1 && cluster.layout() != LayoutMode::kRow) {
+  // Two physical plans. Destinations — and therefore outputs and
+  // CostReports — agree with the per-row HashSpan bucket for every key,
+  // since HashSpan(&v, 1) == Hash(v) == HashMany element-wise and Bucket
+  // == BucketMany.
+  if (key_cols.size() == 1) {
+    // One key column: gather it per morsel and bucket the whole morsel in
+    // one batched, vectorizable BucketMany. An arity-1 payload already is
+    // the key column, so it is hashed in place.
     const int col = key_cols.front();
-    int64_t total_rows = 0;
-    for (int src = 0; src < rel.num_servers(); ++src) {
-      total_rows += rel.fragment(src).size();
-    }
-    if (UseColumnarRoute(cluster.layout(), rel.arity(), total_rows)) {
-      // Columnar route: extract the key column of every fragment into one
-      // contiguous buffer first (morsel-parallel, metered as kTranspose),
-      // then the route phase is a pure unit-stride BucketMany — the
-      // splitmix loop vectorizes with no arity-stride gathers left in it.
-      // Destinations are computed from the same values with the same hash,
-      // and phase 2 still copies the row-major payloads, so outputs and
-      // CostReports are byte-identical to the other plans.
-      RoundScope scope(cluster, label);
-      std::vector<int64_t> row_base(static_cast<size_t>(p) + 1, 0);
-      for (int src = 0; src < p; ++src) {
-        row_base[src + 1] = row_base[src] + rel.fragment(src).size();
-      }
-      auto keys = std::make_unique_for_overwrite<Value[]>(
-          static_cast<size_t>(std::max<int64_t>(total_rows, 1)));
-      {
-        ScopedPhaseTimer phase(cluster.metrics(), Phase::kTranspose);
-        const std::vector<Morsel> morsels =
-            TileSources(rel, cluster.morsel_rows());
-        cluster.pool().ParallelForGrained(
-            static_cast<int64_t>(morsels.size()), 1,
-            [&](int64_t mb, int64_t me) {
-              for (int64_t m = mb; m < me; ++m) {
-                const Morsel& mo = morsels[m];
-                const Relation& frag = rel.fragment(mo.src);
-                GatherKeyColumn(frag.data().data(), frag.arity(), col,
-                                mo.begin, mo.end,
-                                keys.get() + row_base[mo.src] + mo.begin);
-              }
-            });
-      }
-      const Value* const key_base = keys.get();
-      const int64_t* const bases = row_base.data();
-      return RouteSingle(
-          cluster, rel,
-          [&hash, p, key_base, bases](int src, const Relation& /*frag*/,
-                                      int64_t begin, int64_t end,
-                                      int32_t* dests) {
-            hash.BucketMany(key_base + bases[src] + begin, end - begin, p,
-                            dests);
-          },
-          label);
-    }
-    // Fused path (kAuto below the extraction thresholds): gather the
-    // column per morsel and bucket the whole morsel in one batched,
-    // vectorizable pass.
-    return RouteSingle(
+    return RouteMorsels<false>(
         cluster, rel,
         [&hash, p, col](int /*src*/, const Relation& frag, int64_t begin,
                         int64_t end, int32_t* dests) {
           const int64_t rows = end - begin;
-          // Per-thread scratch: morsel tasks run concurrently.
-          thread_local std::vector<Value> keys;
-          keys.resize(static_cast<size_t>(rows));
-          GatherKeyColumn(frag.data().data(), frag.arity(), col, begin, end,
-                          keys.data());
-          hash.BucketMany(keys.data(), rows, p, dests);
+          const Value* keys = frag.data().data() + begin;
+          if (frag.arity() > 1) {
+            // Per-thread scratch: morsel tasks run concurrently.
+            thread_local std::vector<Value> gathered;
+            gathered.resize(static_cast<size_t>(rows));
+            GatherKeyColumn(frag.data().data(), frag.arity(), col, begin,
+                            end, gathered.data());
+            keys = gathered.data();
+          }
+          hash.BucketMany(keys, rows, p, dests);
         },
         label);
   }
-  const auto bucket = [p](uint64_t h) {
-    return static_cast<int>((static_cast<unsigned __int128>(h) * p) >> 64);
-  };
-  return RouteSingle(
+  // Zero or several key columns: one HashSpan per row. HashSpan over zero
+  // columns is the hash function's deterministic seed constant, so an
+  // empty key (one scalar group) sends every row to that group's hash
+  // owner — the same on every server, chosen by the draw like any other
+  // key.
+  return RouteMorsels<false>(
       cluster, rel,
-      [&, bucket](int /*src*/, const Relation& frag, int64_t begin,
-                  int64_t end, int32_t* dests) {
+      [&hash, &key_cols, p](int /*src*/, const Relation& frag, int64_t begin,
+                            int64_t end, int32_t* dests) {
         thread_local std::vector<Value> key;
         key.resize(key_cols.size());
         for (int64_t i = begin; i < end; ++i) {
@@ -515,8 +352,10 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
           for (size_t k = 0; k < key_cols.size(); ++k) {
             key[k] = row[key_cols[k]];
           }
-          dests[i - begin] = static_cast<int32_t>(bucket(
-              hash.HashSpan(key.data(), static_cast<int>(key.size()))));
+          const uint64_t h =
+              hash.HashSpan(key.data(), static_cast<int>(key.size()));
+          dests[i - begin] = static_cast<int32_t>(
+              (static_cast<unsigned __int128>(h) * p) >> 64);
         }
       },
       label);
@@ -603,7 +442,7 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
   MPCQP_CHECK_EQ(static_cast<int>(splitters.size()) + 1,
                  cluster.num_servers());
   MPCQP_CHECK(std::is_sorted(splitters.begin(), splitters.end()));
-  return RouteSingle(
+  return RouteMorsels<false>(
       cluster, rel,
       [&](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
           int32_t* dests) {
@@ -620,29 +459,17 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
 
 DistRelation Route(
     Cluster& cluster, const DistRelation& rel,
-    const std::function<void(const Value* row, std::vector<int>& dests)>&
-        targets,
-    const std::string& label) {
-  return RouteMulti(
-      cluster, rel,
-      [&targets](const RouteContext&, const Value* row,
-                 std::vector<int>& dests) { targets(row, dests); },
-      label);
-}
-
-DistRelation RouteWithContext(
-    Cluster& cluster, const DistRelation& rel,
     const std::function<void(const RouteContext& ctx, const Value* row,
                              std::vector<int>& dests)>& targets,
     const std::string& label) {
-  return RouteMulti(cluster, rel, targets, label);
+  return RouteMorsels<true>(cluster, rel, targets, label);
 }
 
 Relation GatherToServer(Cluster& cluster, const DistRelation& rel, int dst,
                         const std::string& label) {
   MPCQP_CHECK_GE(dst, 0);
   MPCQP_CHECK_LT(dst, cluster.num_servers());
-  DistRelation gathered = RouteSingle(
+  DistRelation gathered = RouteMorsels<false>(
       cluster, rel,
       [dst](int /*src*/, const Relation&, int64_t begin, int64_t end,
             int32_t* dests) {

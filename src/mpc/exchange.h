@@ -33,9 +33,8 @@ namespace mpcqp {
 // the metered costs are bit-identical for every thread count and every
 // morsel size. Routing callbacks run concurrently: they must not mutate
 // shared state (thread_local scratch is fine), and their decision for a
-// tuple may depend only on the tuple itself (and, for the context-aware
-// variant, its source coordinates) — never on how many tuples were
-// visited before it.
+// tuple may depend only on the tuple itself and its source coordinates
+// (RouteContext) — never on how many tuples were visited before it.
 //
 // Broadcast is zero-copy: it materializes the src-major concatenation
 // once and returns p copy-on-write handles to that single payload (a
@@ -68,18 +67,12 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
                             const std::vector<Value>& splitters,
                             const std::string& label);
 
-// Fully general routing: `targets(row, &dests)` appends the destination
-// server ids for each tuple (possibly none or several — multicast). This is
-// what HyperCube partitioning and heavy-hitter Cartesian grids build on.
+// Fully general routing: `targets(ctx, row, dests)` appends the
+// destination server ids for each tuple (possibly none or several —
+// multicast); `ctx` gives the tuple's source coordinates for
+// deterministic per-tuple choices. This is what HyperCube partitioning
+// and heavy-hitter Cartesian grids build on.
 DistRelation Route(
-    Cluster& cluster, const DistRelation& rel,
-    const std::function<void(const Value* row, std::vector<int>& dests)>&
-        targets,
-    const std::string& label);
-
-// As Route, but the callback additionally receives the tuple's source
-// coordinates for deterministic per-tuple choices.
-DistRelation RouteWithContext(
     Cluster& cluster, const DistRelation& rel,
     const std::function<void(const RouteContext& ctx, const Value* row,
                              std::vector<int>& dests)>& targets,

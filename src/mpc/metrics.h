@@ -25,11 +25,10 @@ class Cluster;
 //                   (includes Broadcast payload construction);
 //   kLocalCompute — per-server algorithm work (local joins, sorts, block
 //                   multiplies), whether inside or after a metered round;
-//   kTranspose    — row<->column layout conversions: key-column extraction
-//                   ahead of a columnar route pass and ColumnarRelation
-//                   transposes on metered paths (subset of the round wall,
-//                   runs inside kRoute's bracket but is tallied apart so
-//                   the layout cost is observable);
+//   kTranspose    — row<->column layout conversions: ColumnarRelation
+//                   transposes on metered paths, tallied apart so the
+//                   layout cost is observable (exchanges gather their key
+//                   column inside kRoute and record nothing here);
 //   kColumnarScan — local scans that ran the columnar kernel (selection /
 //                   semijoin / group-by fast paths), split out from
 //                   kLocalCompute so `--layout` effects show in --stats.

@@ -107,7 +107,8 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
 
     routed.push_back(Route(
         cluster, prefiltered,
-        [&, free_vars, var_cols](const Value* row, std::vector<int>& dests) {
+        [&, free_vars, var_cols](const RouteContext&, const Value* row,
+                                 std::vector<int>& dests) {
           int64_t base = 0;
           for (const auto& [v, c] : var_cols) {
             base += static_cast<int64_t>(

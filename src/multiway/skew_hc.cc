@@ -225,7 +225,8 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
       combo_routed.push_back(Route(
           cluster, clazz,
           [&, fixed_light, fixed_cols, free_light, strides,
-           plan](const Value* row, std::vector<int>& dests) {
+           plan](const RouteContext&, const Value* row,
+                 std::vector<int>& dests) {
             int64_t base = 0;
             for (size_t i = 0; i < fixed_light.size(); ++i) {
               const int v = fixed_light[i];

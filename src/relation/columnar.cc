@@ -36,21 +36,6 @@ bool ParseLayoutMode(const std::string& text, LayoutMode* out) {
   return true;
 }
 
-bool UseColumnarRoute(LayoutMode mode, int arity, int64_t rows) {
-  // An arity-1 relation IS a contiguous key column; the fused route loop
-  // already bucket-hashes it with unit stride.
-  if (arity <= 1) return false;
-  switch (mode) {
-    case LayoutMode::kRow:
-      return false;
-    case LayoutMode::kColumnar:
-      return true;
-    case LayoutMode::kAuto:
-      return arity >= kColumnarRouteMinArity && rows >= kColumnarRouteMinRows;
-  }
-  return false;
-}
-
 bool UseColumnarScan(LayoutMode mode, int arity, int columns_read) {
   MPCQP_CHECK_GE(columns_read, 0);
   // Reading (nearly) the whole row: compaction would copy everything the

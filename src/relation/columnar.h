@@ -13,12 +13,13 @@ namespace mpcqp {
 
 class ThreadPool;
 
-// Which physical layout the hot local kernels (route hashing, selections,
-// semijoin probes, group-by scans) iterate over. The layout NEVER changes
-// results: every kernel produces bit-identical outputs, CostReports, and
-// strategy choices for every mode — only the memory access pattern (and
-// therefore wall time) differs. kAuto picks per kernel from arity
-// heuristics (see UseColumnarRoute / UseColumnarScan below), which depend
+// Which physical layout the hot local kernels (selections, semijoin
+// probes, group-by scans) iterate over. Exchanges do not consult it: the
+// route pass has one plan per key shape (see HashPartition). The layout
+// NEVER changes results: every kernel produces bit-identical outputs,
+// CostReports, and strategy choices for every mode — only the memory
+// access pattern (and therefore wall time) differs. kAuto picks per
+// kernel from arity heuristics (see UseColumnarScan below), which depend
 // on data shape only, never on thread count or morsel size.
 enum class LayoutMode {
   kRow = 0,       // Always stride over row-major payloads (the seed path).
@@ -32,23 +33,10 @@ bool ParseLayoutMode(const std::string& text, LayoutMode* out);
 
 // ---- Layout heuristics (data-derived only; see LayoutMode) ----
 
-// Arity at or above which kAuto extracts the key column into a contiguous
-// buffer before the route pass: at this row width every strided key load
-// touches a fresh cache line, so a separate gather pass plus a pure
-// vectorized BucketMany beats the fused gather-per-morsel loop.
-inline constexpr int kColumnarRouteMinArity = 4;
-// Row count below which the route extraction is not worth its setup.
-inline constexpr int64_t kColumnarRouteMinRows = 1 << 14;
 // For scans (selection / group-by), kAuto goes columnar when the kernel
 // reads at most this fraction of the row: arity >= kColumnarScanArityFactor
 // * columns_read. Narrower rows are cheaper to stride over directly.
 inline constexpr int kColumnarScanArityFactor = 3;
-
-// True if the exchange route pass should gather the key column into a
-// contiguous buffer (metered under Phase::kTranspose) and bucket it with
-// one vectorized pass. An arity-1 relation is already a contiguous
-// column, so the fused path is used even under kColumnar.
-bool UseColumnarRoute(LayoutMode mode, int arity, int64_t rows);
 
 // True if a scan kernel reading `columns_read` of `arity` columns should
 // compact those columns out of the wide rows before the hot loop.

@@ -34,7 +34,7 @@ DistRelation BandJoin(Cluster& cluster, const DistRelation& left,
   // matching the PSRS partition.
   const DistRelation routed_left = Route(
       cluster, left,
-      [&](const Value* row, std::vector<int>& dests) {
+      [&](const RouteContext&, const Value* row, std::vector<int>& dests) {
         const Value key = row[left_col];
         const Value lo = key >= epsilon ? key - epsilon : 0;
         const Value hi =

@@ -113,7 +113,7 @@ PsrsResult PsrsSort(Cluster& cluster, const DistRelation& rel,
   // Round 2: range partition by the composite splitters, then local sort.
   DistRelation sorted = Route(
       cluster, local,
-      [&](const Value* row, std::vector<int>& dests) {
+      [&](const RouteContext&, const Value* row, std::vector<int>& dests) {
         // First splitter strictly greater than the row key; ties go left
         // so that runs of equal keys stay on one server.
         int lo = 0;

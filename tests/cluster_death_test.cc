@@ -81,7 +81,8 @@ TEST(ExchangeDeathTest, BadDestinationAborts) {
       DistRelation::Scatter(Relation::FromRows({{1}}), 2);
   EXPECT_DEATH(Route(
                    cluster, dist,
-                   [](const Value*, std::vector<int>& dests) {
+                   [](const RouteContext&, const Value*,
+                      std::vector<int>& dests) {
                      dests.push_back(99);
                    },
                    "bad"),

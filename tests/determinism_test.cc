@@ -158,7 +158,7 @@ DistRelation ExerciseAllRouters(Cluster& cluster, const DistRelation& in) {
   for (int i = 1; i < p; ++i) splitters.push_back(i * 8);
   const DistRelation ranged =
       RangePartition(cluster, wide, 0, splitters, "morsel: range");
-  const DistRelation multi = RouteWithContext(
+  const DistRelation multi = Route(
       cluster, ranged,
       [p](const RouteContext& ctx, const Value* row, std::vector<int>& dests) {
         if (row[0] % 3 == 0) return;  // Dropped tuples.
@@ -712,8 +712,9 @@ TEST(ConcurrentDeterminismTest, IdenticalQueriesDoNotInterfere) {
 }
 
 // p large enough to engage the write-combining copy path (p >= 256), for
-// both the single-destination and the multicast router: staged + flushed
-// rows must land exactly where the direct path would put them.
+// both destination shapes of the router (single and multicast, with
+// dropped rows, at arity 1 and 2): staged + flushed rows must land
+// exactly where the direct path would put them.
 TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
   static constexpr int kWideServers = 256;
   Rng rng(101);
@@ -727,11 +728,46 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
             HashPartition(cluster, in, {0}, hash, "wc: hash");
         return Route(
             cluster, hashed,
-            [](const Value* row, std::vector<int>& dests) {
+            [](const RouteContext&, const Value* row,
+               std::vector<int>& dests) {
               dests.push_back(static_cast<int>(row[0] % kWideServers));
               dests.push_back(static_cast<int>(row[1] % kWideServers));
             },
             "wc: multicast");
+      },
+      /*servers=*/kWideServers);
+
+  // The inputs below sit on one source, so a default-size morsel fills
+  // whole staging blocks before the final flush.
+  const auto on_source_zero = [](const Relation& rel) {
+    std::vector<Relation> frags(kWideServers, Relation(rel.arity()));
+    frags[0] = rel;
+    return DistRelation::FromFragments(std::move(frags));
+  };
+  // Rows with zero, one or two destinations through the staged copy: a
+  // dropped row must not disturb the cursors of the rows around it.
+  ExpectMorselInvariant(
+      [&](Cluster& cluster) {
+        return Route(
+            cluster, on_source_zero(input),
+            [](const RouteContext&, const Value* row,
+               std::vector<int>& dests) {
+              if (row[0] % 3 == 0) return;  // Dropped tuples.
+              dests.push_back(static_cast<int>(row[0] % 16));
+              if (row[0] % 3 == 1) {
+                dests.push_back(static_cast<int>(row[1] % kWideServers));
+              }
+            },
+            "wc: multicast with drops");
+      },
+      /*servers=*/kWideServers);
+  // Arity 1: the single-key plan buckets the payload in place.
+  const Relation keys = GenerateUniform(rng, 20000, 1, 40);
+  ExpectMorselInvariant(
+      [&](Cluster& cluster) {
+        const HashFunction hash = cluster.NewHashFunction();
+        return HashPartition(cluster, on_source_zero(keys), {0}, hash,
+                             "wc: hash arity 1");
       },
       /*servers=*/kWideServers);
 }
@@ -739,9 +775,9 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
 // --- Layout invariance ---
 //
 // The fourth axis of the contract: ClusterOptions::layout selects the
-// physical access pattern of the hot kernels (columnar route hashing,
-// compacted group-by scans) and must never change outputs, CostReports,
-// or strategy choices. The sweeps compare every layout x thread count x
+// physical access pattern of the hot local kernels (compacted selection
+// and group-by scans) and must never change outputs, CostReports, or
+// strategy choices. The sweeps compare every layout x thread count x
 // morsel size against the row-layout single-threaded baseline.
 
 RunResult RunWithLayout(int threads, LayoutMode layout, int64_t morsel_rows,
@@ -783,9 +819,9 @@ void ExpectLayoutInvariant(
   }
 }
 
-// Wide-arity exchange: rows and arity cross the kAuto route thresholds,
-// so all three modes genuinely exercise the extracted-key-column router
-// (kRow the fused one), and the shuffled bytes must agree exactly.
+// Wide-arity exchange: exchanges ignore the layout and route a single
+// key column through the fused gather + BucketMany plan under every
+// mode; the shuffled bytes must agree exactly.
 TEST(LayoutInvariance, WideExchangeRoute) {
   Rng rng(kSeed);
   const Relation wide = GenerateUniform(rng, 20000, 5, 500);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mpc/cluster.h"
@@ -139,6 +140,69 @@ TEST(ExchangeTest, HashPartitionColocatesKeys) {
   }
 }
 
+// Where HashPartition puts a row, independent of its physical route plan:
+// a single key column goes to hash.Bucket(v, p), so a single-key shuffle
+// colocates with a Route callback that buckets with hash.Bucket (the
+// skew-aware join's light path relies on this); several or zero key
+// columns go to the multiply-shift bucket of HashSpan over the key values
+// (zero columns: the seed constant, one owner for every row).
+TEST(ExchangeTest, HashPartitionPlacesEveryRowAtItsKeyBucket) {
+  constexpr int kP = 7;
+  Rng rng(11);
+  const Relation unary = GenerateUniform(rng, 300, 1, 1000);
+  const Relation ternary = GenerateUniform(rng, 300, 3, 1000);
+  struct Case {
+    const Relation* input;
+    std::vector<int> key_cols;
+  };
+  const Case cases[] = {
+      {&unary, {0}},      {&ternary, {2}},       {&ternary, {0}},
+      {&ternary, {2, 0}}, {&ternary, {0, 1, 2}}, {&ternary, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("arity " + std::to_string(c.input->arity()) + ", " +
+                 std::to_string(c.key_cols.size()) + " key columns");
+    ClusterOptions options;
+    options.morsel_rows = 16;  // Several morsels per fragment.
+    Cluster cluster(kP, 3, options);
+    const HashFunction hash = cluster.NewHashFunction();
+    const DistRelation dist = DistRelation::Scatter(*c.input, kP);
+    const DistRelation parts =
+        HashPartition(cluster, dist, c.key_cols, hash, "placement");
+    EXPECT_TRUE(MultisetEqual(parts.Collect(), *c.input));
+    for (int s = 0; s < kP; ++s) {
+      const Relation& frag = parts.fragment(s);
+      for (int64_t i = 0; i < frag.size(); ++i) {
+        const Value* row = frag.row(i);
+        int expected;
+        if (c.key_cols.size() == 1) {
+          expected = hash.Bucket(row[c.key_cols[0]], kP);
+        } else {
+          std::vector<Value> key;
+          for (int col : c.key_cols) key.push_back(row[col]);
+          const uint64_t h =
+              hash.HashSpan(key.data(), static_cast<int>(key.size()));
+          expected = static_cast<int>(
+              (static_cast<unsigned __int128>(h) * kP) >> 64);
+        }
+        ASSERT_EQ(expected, s) << "row " << i << " of server " << s;
+      }
+    }
+    if (c.key_cols.size() != 1) continue;
+    // Same placement, same src-major order, through the multicast router.
+    const int col = c.key_cols[0];
+    const DistRelation routed = Route(
+        cluster, dist,
+        [&](const RouteContext&, const Value* row, std::vector<int>& dests) {
+          dests.push_back(hash.Bucket(row[col], kP));
+        },
+        "placement: route");
+    for (int s = 0; s < kP; ++s) {
+      EXPECT_EQ(routed.fragment(s), parts.fragment(s)) << "server " << s;
+    }
+  }
+}
+
 TEST(ExchangeTest, BroadcastReplicatesEverywhere) {
   Rng rng(9);
   Cluster cluster(5, 3);
@@ -178,7 +242,7 @@ TEST(ExchangeTest, RouteMulticastCountsEveryCopy) {
   const DistRelation dist = DistRelation::Scatter(input, 4);
   const DistRelation routed = Route(
       cluster, dist,
-      [](const Value*, std::vector<int>& dests) {
+      [](const RouteContext&, const Value*, std::vector<int>& dests) {
         dests.push_back(0);
         dests.push_back(2);
       },
@@ -195,7 +259,7 @@ TEST(ExchangeTest, RouteCanDropTuples) {
   const DistRelation dist = DistRelation::Scatter(input, 2);
   const DistRelation routed = Route(
       cluster, dist,
-      [](const Value* row, std::vector<int>& dests) {
+      [](const RouteContext&, const Value* row, std::vector<int>& dests) {
         if (row[0] != 2) dests.push_back(0);
       },
       "filter");
