@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "common/flat_counter.h"
@@ -308,12 +309,24 @@ Relation HashJoinLocal(RelationView left, RelationView right,
   // `right` (callers pass the smaller side right in hot paths).
   KeyIndex index(right, right_keys);
   MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
+  // Probe every left row first and size the output exactly: a buffer
+  // grown by doubling would keep up to twice the output's bytes for as
+  // long as the result lives, and its abandoned halves would fill the
+  // probing thread's allocator arena, so the process's resident size
+  // would depend on which thread ran which server's join.
   std::vector<Value> key(left_keys.size());
-  std::vector<Value> rows;
+  std::vector<std::span<const int64_t>> matches(left.size());
+  int64_t total = 0;
   for (int64_t i = 0; i < left.size(); ++i) {
     const Value* lrow = left.row(i);
     for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
-    for (int64_t rrow : index.Lookup(key.data())) {
+    matches[i] = index.Lookup(key.data());
+    total += static_cast<int64_t>(matches[i].size());
+  }
+  std::vector<Value> rows;
+  rows.reserve(static_cast<size_t>(total * out_arity));
+  for (int64_t i = 0; i < left.size(); ++i) {
+    for (int64_t rrow : matches[i]) {
       EmitJoinRow(left, i, right, rrow, right_out_cols, rows);
     }
   }
